@@ -25,19 +25,17 @@
 //  * thread-count invariance — the indexed result at 1 thread vs
 //    hardware threads, full comparison, at 100k trials.
 //
-// Results merge into BENCH_perf.json as the "mc" section (same
-// read-modify-write contract as bench_serve/bench_scaling: existing
-// sections are kept; only bench_perf truncates the file).
+// Results merge into BENCH_perf.json as the "mc" section
+// (bench::merge_section keeps every other section).
 //
 //   $ ./bench_mc              # ~a minute; updates ./BENCH_perf.json
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "cnt/analyzer.hpp"
 #include "layout/cells.hpp"
 #include "util/json.hpp"
@@ -48,12 +46,7 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
+using bench::ms_since;
 
 /// Full-result bitwise comparison: every tally and every histogram bucket.
 bool results_identical(const cnt::MonteCarloResult& a,
@@ -343,22 +336,6 @@ int main() {
   const bool invariant = nand3.thread_invariant && aoi22.thread_invariant;
 
   // --- merge the "mc" section into BENCH_perf.json --------------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value mc = json::Value::object();
   mc.set("hardware_threads", hardware);
   mc.set("nand3", cell_json(nand3));
@@ -371,16 +348,10 @@ int main() {
   mc.set("min_indexed_1m_trials_per_sec", min_rate_1m);
   mc.set("indexed_eq_naive", identical);
   mc.set("thread_invariant", invariant);
-  root.set("mc", std::move(mc));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
+  if (!bench::merge_section("BENCH_perf.json", "mc",
+                             std::move(mc))) {
+    return 1;
   }
-  std::printf("\nmerged \"mc\" into %s\n", path);
 
   if (!identical || !invariant) {
     std::fprintf(stderr,

@@ -12,45 +12,31 @@
 // (delays within 1%, per-cycle energies within 2% of the seed engine) and
 // that parallel results are identical to serial, then writes everything
 // to BENCH_perf.json so the perf trajectory is machine-readable
-// (scripts/check_perf.py gates on it).
+// (scripts/check_perf.py gates on it). Its sections merge into the file
+// like every other bench's (bench::merge_section), so run order is free.
 //
-//   $ ./bench_perf            # ~15 s; writes ./BENCH_perf.json
+//   $ ./bench_perf            # ~15 s; updates ./BENCH_perf.json
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
+#include "harness.hpp"
 #include "api/batch.hpp"
 #include "api/serialize.hpp"
 #include "cnt/analyzer.hpp"
 #include "layout/cells.hpp"
 #include "liberty/library.hpp"
 #include "sta/timing_graph.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace {
 
 using namespace cnfet;
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Best-of-`reps` wall time of fn, in milliseconds.
-template <typename Fn>
-double best_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double elapsed = ms_since(start);
-    if (elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::best_ms;
 
 struct Timing {
   double serial_ms = 0.0;
@@ -343,87 +329,67 @@ int main() {
   print_timing("run_batch", batch);
 
   // --- machine-readable trajectory ---------------------------------------
+  auto tran = util::json::Value::object();
+  tran.set("cell", "NAND2");
+  tran.set("seed_ms", tran_seed_ms);
+  tran.set("fast_ms", tran_fast_ms);
+  tran.set("speedup", tran_speedup);
+  tran.set("delay_rel_err", tran_delay_err);
+  tran.set("energy_rel_err", tran_energy_err);
+  tran.set("within_tolerance", tran_ok);
+  auto characterization = util::json::Value::object();
+  characterization.set("cells", lib_seed.cells().size());
+  characterization.set("seed_serial_ms", char_seed_ms);
+  characterization.set("fast_serial_ms", char_fast_ms);
+  characterization.set("serial_speedup", char_speedup);
+  characterization.set("fast_parallel_ms", char_par_ms);
+  characterization.set("parallel_speedup", char_par_speedup);
+  characterization.set("delay_rel_err", char_delay_err);
+  characterization.set("delay_abs_err_ps", char_delay_abs * 1e12);
+  characterization.set("delay_within_bounds", char_delay_ok);
+  characterization.set("energy_rel_err", char_energy_err);
+  characterization.set("parallel_identical", char_identical);
+  auto cache = util::json::Value::object();
+  cache.set("characterize_serial_ms", char_fast_ms);
+  cache.set("disk_load_ms", cache_load_ms);
+  cache.set("speedup", cache_speedup);
+  cache.set("tables_exact", cache_exact);
+  auto tgraph = util::json::Value::object();
+  tgraph.set("circuit", "full_adder_9nand_buffered");
+  tgraph.set("gates", adder.gates().size());
+  tgraph.set("full_rebuild_us", tg_full_ms * 1e3);
+  tgraph.set("incremental_edit_us", tg_incr_ms * 1e3);
+  tgraph.set("speedup", tg_speedup);
+  tgraph.set("identical", tg_identical);
+  auto monte_carlo = util::json::Value::object();
+  monte_carlo.set("cell", "NAND3");
+  monte_carlo.set("trials", kTrials);
+  monte_carlo.set("serial_ms", mc.serial_ms);
+  monte_carlo.set("parallel_ms", mc.parallel_ms);
+  monte_carlo.set("speedup", mc.speedup());
+  monte_carlo.set("trials_per_sec_serial", 1000.0 * kTrials / mc.serial_ms);
+  monte_carlo.set("trials_per_sec_parallel",
+                  1000.0 * kTrials / mc.parallel_ms);
+  monte_carlo.set("identical", mc.identical);
+  auto run_batch = util::json::Value::object();
+  run_batch.set("jobs", jobs.size());
+  run_batch.set("serial_ms", batch.serial_ms);
+  run_batch.set("parallel_ms", batch.parallel_ms);
+  run_batch.set("speedup", batch.speedup());
+  run_batch.set("identical", batch.identical);
+
   const char* path = "BENCH_perf.json";
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::printf("cannot open %s for writing\n", path);
-    return 1;
+  const std::pair<const char*, util::json::Value> sections[] = {
+      {"threads", threads},
+      {"transient_single_arc", tran},
+      {"characterization", characterization},
+      {"library_cache", cache},
+      {"timing_graph", tgraph},
+      {"monte_carlo", monte_carlo},
+      {"run_batch", run_batch}};
+  for (const auto& [key, value] : sections) {
+    if (!bench::merge_section(path, key, value)) return 1;
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"threads\": %d,\n"
-               "  \"transient_single_arc\": {\n"
-               "    \"cell\": \"NAND2\",\n"
-               "    \"seed_ms\": %.4f,\n"
-               "    \"fast_ms\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"delay_rel_err\": %.5f,\n"
-               "    \"energy_rel_err\": %.5f,\n"
-               "    \"within_tolerance\": %s\n"
-               "  },\n"
-               "  \"characterization\": {\n"
-               "    \"cells\": %zu,\n"
-               "    \"seed_serial_ms\": %.3f,\n"
-               "    \"fast_serial_ms\": %.3f,\n"
-               "    \"serial_speedup\": %.3f,\n"
-               "    \"fast_parallel_ms\": %.3f,\n"
-               "    \"parallel_speedup\": %.3f,\n"
-               "    \"delay_rel_err\": %.5f,\n"
-               "    \"delay_abs_err_ps\": %.5f,\n"
-               "    \"delay_within_bounds\": %s,\n"
-               "    \"energy_rel_err\": %.5f,\n"
-               "    \"parallel_identical\": %s\n"
-               "  },\n"
-               "  \"library_cache\": {\n"
-               "    \"characterize_serial_ms\": %.3f,\n"
-               "    \"disk_load_ms\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"tables_exact\": %s\n"
-               "  },\n"
-               "  \"timing_graph\": {\n"
-               "    \"circuit\": \"full_adder_9nand_buffered\",\n"
-               "    \"gates\": %zu,\n"
-               "    \"full_rebuild_us\": %.4f,\n"
-               "    \"incremental_edit_us\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"monte_carlo\": {\n"
-               "    \"cell\": \"NAND3\",\n"
-               "    \"trials\": %d,\n"
-               "    \"serial_ms\": %.3f,\n"
-               "    \"parallel_ms\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"trials_per_sec_serial\": %.1f,\n"
-               "    \"trials_per_sec_parallel\": %.1f,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"run_batch\": {\n"
-               "    \"jobs\": %zu,\n"
-               "    \"serial_ms\": %.3f,\n"
-               "    \"parallel_ms\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"identical\": %s\n"
-               "  }\n"
-               "}\n",
-               threads, tran_seed_ms, tran_fast_ms, tran_speedup,
-               tran_delay_err, tran_energy_err, tran_ok ? "true" : "false",
-               lib_seed.cells().size(), char_seed_ms, char_fast_ms,
-               char_speedup, char_par_ms, char_par_speedup, char_delay_err,
-               char_delay_abs * 1e12, char_delay_ok ? "true" : "false",
-               char_energy_err, char_identical ? "true" : "false",
-               char_fast_ms, cache_load_ms, cache_speedup,
-               cache_exact ? "true" : "false",
-               adder.gates().size(), tg_full_ms * 1e3, tg_incr_ms * 1e3,
-               tg_speedup, tg_identical ? "true" : "false", kTrials,
-               mc.serial_ms, mc.parallel_ms, mc.speedup(),
-               1000.0 * kTrials / mc.serial_ms,
-               1000.0 * kTrials / mc.parallel_ms,
-               mc.identical ? "true" : "false", jobs.size(), batch.serial_ms,
-               batch.parallel_ms, batch.speedup(),
-               batch.identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
 
   // Equivalence and accuracy are hard requirements; speedup depends on the
   // host's cores (scripts/check_perf.py gates the speedups separately).

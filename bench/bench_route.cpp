@@ -16,17 +16,16 @@
 // clean, the wire DRC deck clean, byte-determinism of a repeated route,
 // and routed timing never more optimistic than the ideal-net reference.
 //
-// Results merge into BENCH_perf.json as the "route" section (same
-// read-modify-write contract as bench_mc: existing sections are kept).
+// Results merge into BENCH_perf.json as the "route" section
+// (bench::merge_section keeps every other section).
 //
 //   $ ./bench_route           # a few seconds; updates ./BENCH_perf.json
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "harness.hpp"
 #include "core/design_kit.hpp"
 #include "drc/drc.hpp"
 #include "gen/gen.hpp"
@@ -39,24 +38,7 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-template <typename Fn>
-double best_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double elapsed = ms_since(start);
-    if (elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::best_ms;
 
 struct Workload {
   const char* name;
@@ -163,22 +145,6 @@ int main() {
       std::min(results[0].nets_per_sec, results[1].nets_per_sec);
 
   // --- merge the "route" section into BENCH_perf.json -----------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value route = json::Value::object();
   route.set("fa13", to_json(results[0]));
   route.set("rca10k", to_json(results[1]));
@@ -188,16 +154,10 @@ int main() {
   route.set("deterministic", deterministic);
   route.set("routed_never_faster", never_faster);
   route.set("min_nets_per_sec", min_nets_per_sec);
-  root.set("route", std::move(route));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
+  if (!bench::merge_section("BENCH_perf.json", "route",
+                             std::move(route))) {
+    return 1;
   }
-  std::printf("\nmerged \"route\" into %s\n", path);
 
   if (!connectivity || !verify_ok || !drc_clean || !deterministic ||
       !never_faster) {

@@ -16,17 +16,16 @@
 // oracle on sampled vectors, and the 10k flow must sign off DRC-clean;
 // both booleans land in the "scale" section and are gated.
 //
-// Results merge into BENCH_perf.json as the "scale" section (same
-// read-modify-write contract as bench_serve: existing sections are kept).
+// Results merge into BENCH_perf.json as the "scale" section
+// (bench::merge_section keeps every other section).
 //
 //   $ ./bench_scale           # a few seconds; updates ./BENCH_perf.json
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "api/flow.hpp"
 #include "core/design_kit.hpp"
 #include "gen/gen.hpp"
@@ -38,24 +37,8 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-template <typename Fn>
-double best_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double elapsed = ms_since(start);
-    if (elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::best_ms;
+using bench::ms_since;
 
 double gates_per_sec(std::size_t gates, double ms) {
   return ms > 0.0 ? static_cast<double>(gates) / (ms / 1000.0) : 0.0;
@@ -204,22 +187,6 @@ int main() {
               incremental_identical ? "yes" : "NO");
 
   // --- merge the "scale" section into BENCH_perf.json ----------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value scale = json::Value::object();
   scale.set("rca256_gates", static_cast<int>(rca.netlist.gates().size()));
   scale.set("mul30_gates", static_cast<int>(mul.netlist.gates().size()));
@@ -239,16 +206,10 @@ int main() {
   scale.set("incremental_identical", incremental_identical);
   scale.set("oracle_identical", oracle_identical);
   scale.set("signoff_clean", signoff_clean);
-  root.set("scale", std::move(scale));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
+  if (!bench::merge_section("BENCH_perf.json", "scale",
+                             std::move(scale))) {
+    return 1;
   }
-  std::printf("\nmerged \"scale\" into %s\n", path);
 
   if (!oracle_identical || !signoff_clean || !incremental_identical) {
     std::fprintf(stderr,

@@ -11,18 +11,17 @@
 // scripts/check_perf.py, which skips them on hosts with fewer than 4
 // hardware threads.
 //
-// Results merge into BENCH_perf.json as the "scaling" section (same
-// read-modify-write contract as bench_serve/bench_scale: existing
-// sections are kept).
+// Results merge into BENCH_perf.json as the "scaling" section
+// (bench::merge_section keeps every other section).
 //
 //   $ ./bench_scaling         # a few seconds; updates ./BENCH_perf.json
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "api/batch.hpp"
 #include "cnt/analyzer.hpp"
 #include "gen/gen.hpp"
@@ -38,24 +37,8 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-template <typename Fn>
-double best_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double elapsed = ms_since(start);
-    if (elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::best_ms;
+using bench::ms_since;
 
 /// One subsystem's ladder: wall ms per thread count, all rungs checked
 /// bit-identical to the t=1 run.
@@ -274,22 +257,6 @@ int main() {
               counting ? "on" : "off");
 
   // --- merge the "scaling" section into BENCH_perf.json --------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value scaling = json::Value::object();
   scaling.set("hardware_threads", hardware);
   scaling.set("alloc_counting", counting);
@@ -301,16 +268,10 @@ int main() {
   opt_section.set("gates", static_cast<int>(n10k));
   opt_section.set("rounds", kSizingRounds);
   scaling.set("opt_sizing", std::move(opt_section));
-  root.set("scaling", std::move(scaling));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
+  if (!bench::merge_section("BENCH_perf.json", "scaling",
+                             std::move(scaling))) {
+    return 1;
   }
-  std::printf("\nmerged \"scaling\" into %s\n", path);
 
   const bool all_identical = char_ladder.identical && mc_ladder.identical &&
                              batch_ladder.identical && opt_ladder.identical;

@@ -12,9 +12,8 @@
 //     the direct api::Flow path for both technologies (exit 1 on any
 //     mismatch — identity is a hard requirement, speed is gated later).
 //
-// Results merge into BENCH_perf.json as the "serve" section (the file is
-// parsed and rewritten, so run bench_perf first; a missing file is
-// created holding only "serve").
+// Results merge into BENCH_perf.json as the "serve" section
+// (bench::merge_section keeps every other section).
 //
 //   $ ./bench_serve           # ~10 s; updates ./BENCH_perf.json
 #include <algorithm>
@@ -27,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "api/library_cache.hpp"
 #include "api/serialize.hpp"
 #include "serve/client.hpp"
@@ -37,12 +37,7 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
+using bench::ms_since;
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
@@ -241,22 +236,6 @@ int main() {
               static_cast<long long>(stats.requests_error));
 
   // --- merge the "serve" section into BENCH_perf.json ----------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value serve_section = json::Value::object();
   serve_section.set("cold_compile_ms", cold_ms);
   serve_section.set("warm_served_p50_ms", warm_p50);
@@ -270,16 +249,10 @@ int main() {
   serve_section.set("p99_ms", p99);
   serve_section.set("gds_identical", gds_identical);
   serve_section.set("metrics_identical", metrics_identical);
-  root.set("serve", std::move(serve_section));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
+  if (!bench::merge_section("BENCH_perf.json", "serve",
+                             std::move(serve_section))) {
+    return 1;
   }
-  std::printf("\nmerged \"serve\" into %s\n", path);
 
   // Identity is the hard in-run requirement; the 5x warm-vs-cold floor is
   // host-sensitive, so scripts/check_perf.py gates it (and the identity

@@ -77,8 +77,8 @@ ImmunityReport check_exact(const GeometryIndex& index, const CellNetlist& cell,
     // tracer needs); the proof ignores contacts that merely abut the
     // band edge, hence the overlap re-filter.
     std::vector<layout::ContactShape> contacts;
-    for (const auto& e : index.bands()[bi].contacts.entries()) {
-      if (e.rect.overlaps(band.rect)) contacts.push_back({e.net, e.rect});
+    for (const auto& c : index.bands()[bi].contacts) {
+      if (c.rect.overlaps(band.rect)) contacts.push_back(c);
     }
 
     // Adjacent contact pairs suffice: effects are monotone and non-adjacent
@@ -316,7 +316,7 @@ void trace_tube_into(const GeometryIndex& index,
       const double sy_lo = std::min(a.y, b.y);
       const double sy_hi = std::max(a.y, b.y);
       if (sy_lo > band.q_hi_y || sy_hi < band.q_lo_y) continue;
-      contact_candidates += band.contacts.count_overlapping_x(
+      contact_candidates += band.contacts_x.count_overlapping(
           std::max(sx_lo, band.lo_x), std::min(sx_hi, band.hi_x));
     }
     if (contact_candidates < 2) continue;
@@ -357,25 +357,24 @@ void trace_tube_into(const GeometryIndex& index,
       // interval index) bounds every shape the clip math can hit.
       const double span_lo = std::max(sx_lo, band.lo_x);
       const double span_hi = std::min(sx_hi, band.hi_x);
-      band.contacts.for_overlapping_x(
-          span_lo, span_hi, [&](const IntervalIndex::Entry& c) {
+      band.contacts_x.for_each_overlapping(
+          span_lo, span_hi, [&](std::size_t i) {
+            const auto& c = band.contacts[i];
             if (auto t = clip_mid(seg, bt0, bt1, c.rect)) {
               events.push_back({Event::Kind::kContact, base + *t, c.net, 0});
             }
           });
-      band.gates.for_overlapping_x(
-          span_lo, span_hi, [&](const IntervalIndex::Entry& g) {
-            if (auto t = clip_mid(seg, bt0, bt1, g.rect)) {
-              events.push_back(
-                  {Event::Kind::kGate, base + *t, 0, g.gate_input});
-            }
-          });
-      band.etches.for_overlapping_x(
-          span_lo, span_hi, [&](const IntervalIndex::Entry& e) {
-            if (auto t = clip_mid(seg, bt0, bt1, e.rect)) {
-              events.push_back({Event::Kind::kEtch, base + *t, 0, 0});
-            }
-          });
+      band.gates_x.for_each_overlapping(span_lo, span_hi, [&](std::size_t i) {
+        const auto& g = band.gates[i];
+        if (auto t = clip_mid(seg, bt0, bt1, g.rect)) {
+          events.push_back({Event::Kind::kGate, base + *t, 0, g.input});
+        }
+      });
+      band.etches_x.for_each_overlapping(span_lo, span_hi, [&](std::size_t i) {
+        if (auto t = clip_mid(seg, bt0, bt1, band.etches[i])) {
+          events.push_back({Event::Kind::kEtch, base + *t, 0, 0});
+        }
+      });
     }
     std::sort(events.begin(), events.end(), event_less);
     walk_events(events, band.doping, arena, effects);

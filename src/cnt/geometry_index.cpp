@@ -9,34 +9,35 @@ namespace cnfet::cnt {
 
 namespace {
 
-/// Deterministic total order on entries: geometry construction order must
-/// never leak into index contents (the tracer's bit-identity contract is
-/// against a normalized event sort, not against insertion order).
-bool entry_less(const IntervalIndex::Entry& a, const IntervalIndex::Entry& b) {
-  const auto key = [](const IntervalIndex::Entry& e) {
-    return std::make_tuple(e.rect.lo().x, e.rect.lo().y, e.rect.hi().x,
-                           e.rect.hi().y, e.net, e.gate_input);
+const geom::Rect& rect_of(const layout::ContactShape& c) { return c.rect; }
+const geom::Rect& rect_of(const layout::GateShape& g) { return g.rect; }
+const geom::Rect& rect_of(const geom::Rect& r) { return r; }
+int payload_of(const layout::ContactShape& c) { return c.net; }
+int payload_of(const layout::GateShape& g) { return g.input; }
+int payload_of(const geom::Rect&) { return 0; }
+
+/// Sorts `shapes` into a deterministic total order led by lo.x (geometry
+/// construction order must never leak into index contents) and indexes
+/// their x extents, padded by kQueryPad so queries compare raw doubles.
+template <typename Shape>
+geom::IntervalIndex index_x(std::vector<Shape>& shapes) {
+  const auto key = [](const Shape& s) {
+    const geom::Rect& r = rect_of(s);
+    return std::make_tuple(r.lo().x, r.lo().y, r.hi().x, r.hi().y,
+                           payload_of(s));
   };
-  return key(a) < key(b);
+  std::sort(shapes.begin(), shapes.end(),
+            [&](const Shape& a, const Shape& b) { return key(a) < key(b); });
+  std::vector<geom::IntervalIndex::Interval> xs;
+  xs.reserve(shapes.size());
+  for (const auto& s : shapes) {
+    xs.push_back({static_cast<double>(rect_of(s).lo().x) - kQueryPad,
+                  static_cast<double>(rect_of(s).hi().x) + kQueryPad});
+  }
+  return geom::IntervalIndex(xs);
 }
 
 }  // namespace
-
-void IntervalIndex::build(std::vector<Entry> entries) {
-  std::sort(entries.begin(), entries.end(), entry_less);
-  entries_ = std::move(entries);
-  lo_x_.resize(entries_.size());
-  hi_x_.resize(entries_.size());
-  prefix_max_hi_x_.resize(entries_.size());
-  double running_max = -1e300;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    // Pad folded in here, once, so queries compare raw coordinates.
-    lo_x_[i] = static_cast<double>(entries_[i].rect.lo().x) - kQueryPad;
-    hi_x_[i] = static_cast<double>(entries_[i].rect.hi().x) + kQueryPad;
-    running_max = std::max(running_max, hi_x_[i]);
-    prefix_max_hi_x_[i] = running_max;
-  }
-}
 
 GeometryIndex::GeometryIndex(layout::CellGeometry geometry)
     : geometry_(std::move(geometry)) {
@@ -68,46 +69,26 @@ GeometryIndex::GeometryIndex(layout::CellGeometry geometry)
     // Bin every shape that touches the band (closed-rectangle test): a
     // shape producing a crossing inside the band shares at least a point
     // with it, so this candidate set is conservative and exact.
-    std::vector<IntervalIndex::Entry> contacts;
     for (const auto& c : geometry_.contacts) {
-      if (c.rect.touches(band.rect)) contacts.push_back({c.rect, c.net, 0});
+      if (c.rect.touches(band.rect)) index.contacts.push_back(c);
     }
-    index.contacts.build(std::move(contacts));
-    std::vector<IntervalIndex::Entry> gates;
     for (const auto& g : geometry_.gates) {
-      if (g.rect.touches(band.rect)) gates.push_back({g.rect, 0, g.input});
+      if (g.rect.touches(band.rect)) index.gates.push_back(g);
     }
-    index.gates.build(std::move(gates));
-    std::vector<IntervalIndex::Entry> etches;
     for (const auto& e : geometry_.etches) {
-      if (e.touches(band.rect)) etches.push_back({e, 0, 0});
+      if (e.touches(band.rect)) index.etches.push_back(e);
     }
-    index.etches.build(std::move(etches));
+    index.contacts_x = index_x(index.contacts);
+    index.gates_x = index_x(index.gates);
+    index.etches_x = index_x(index.etches);
     bands_.push_back(std::move(index));
   }
 
-  // Band y-bin (pre-padded bounds) and the padded all-bands bounding box.
-  band_order_.resize(bands_.size());
-  for (std::size_t i = 0; i < bands_.size(); ++i) {
-    band_order_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(band_order_.begin(), band_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const auto ka = std::make_tuple(bands_[a].rect.lo().y, a);
-              const auto kb = std::make_tuple(bands_[b].rect.lo().y, b);
-              return ka < kb;
-            });
-  band_lo_y_.resize(bands_.size());
-  band_hi_y_.resize(bands_.size());
-  prefix_max_hi_y_.resize(bands_.size());
-  double running_max = -1e300;
-  for (std::size_t i = 0; i < band_order_.size(); ++i) {
-    const auto& indexed = bands_[band_order_[i]];
-    band_lo_y_[i] = indexed.q_lo_y;
-    band_hi_y_[i] = indexed.q_hi_y;
-    running_max = std::max(running_max, indexed.q_hi_y);
-    prefix_max_hi_y_[i] = running_max;
-  }
+  // Band y extents (pre-padded) and the padded all-bands bounding box.
+  std::vector<geom::IntervalIndex::Interval> ys;
+  ys.reserve(bands_.size());
+  for (const auto& band : bands_) ys.push_back({band.q_lo_y, band.q_hi_y});
+  bands_y_ = geom::IntervalIndex(ys);
   has_bands_ = !bands_.empty();
   if (has_bands_) {
     bands_lo_ = {1e300, 1e300};
@@ -119,28 +100,6 @@ GeometryIndex::GeometryIndex(layout::CellGeometry geometry)
       bands_hi_.y = std::max(bands_hi_.y, band.q_hi_y);
     }
   }
-}
-
-std::uint64_t GeometryIndex::bands_in_y(double y_lo, double y_hi) const {
-  std::uint64_t mask = 0;
-  // Binary search: sorted positions past `end` start above y_hi.
-  std::size_t lo = 0;
-  std::size_t hi = band_lo_y_.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (band_lo_y_[mid] <= y_hi) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  for (std::size_t i = lo; i-- > 0;) {
-    if (prefix_max_hi_y_[i] < y_lo) break;
-    if (band_hi_y_[i] >= y_lo) {
-      mask |= std::uint64_t{1} << band_order_[i];
-    }
-  }
-  return mask;
 }
 
 }  // namespace cnfet::cnt

@@ -8,13 +8,12 @@
 //
 //  * a bounding box over all bands, so a tube that cannot touch any band
 //    is rejected with one box test before any segment math runs;
-//  * bands binned by y-interval (sorted by lo.y with a running max of
-//    hi.y), answered as a bitmask of band indices so candidates come
-//    back in the geometry's original band order — traversal order is
-//    part of the tracer's bit-identity contract;
-//  * per band, x-sorted interval arrays of the contacts/gates/etches
-//    that touch the band, answered by binary search on lo.x plus a
-//    prefix max of hi.x for early exit, instead of a linear scan.
+//  * a geom::IntervalIndex over the bands' y extents, answered as a
+//    bitmask of band indices so candidates come back in the geometry's
+//    original band order — traversal order is part of the tracer's
+//    bit-identity contract;
+//  * per band, a geom::IntervalIndex over the x extents of the contacts,
+//    gates and etches that touch the band, instead of a linear scan.
 //
 // Candidate sets are strict supersets of the shapes that can produce a
 // crossing (closed-rectangle touch tests, padded against floating-point
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "geom/rect.hpp"
+#include "geom/rect_index.hpp"
 #include "geom/vec.hpp"
 #include "layout/cell_layout.hpp"
 #include "netlist/cell_netlist.hpp"
@@ -49,70 +49,6 @@ namespace cnfet::cnt {
 /// needed while excluding nothing real (the closest distinct shapes sit
 /// hundreds of millilambda apart).
 inline constexpr double kQueryPad = 1e-2;
-
-/// x-sorted interval array over layout rectangles with a per-shape
-/// payload (contact net or gate input). Entries are ordered by a
-/// deterministic total order on (rect, payload), so the index contents
-/// never depend on geometry construction order. Query bounds are stored
-/// pre-padded by kQueryPad; callers pass raw x-intervals.
-class IntervalIndex {
- public:
-  struct Entry {
-    geom::Rect rect;
-    netlist::NetId net = 0;  ///< contact payload
-    int gate_input = 0;      ///< gate payload
-  };
-
-  void build(std::vector<Entry> entries);
-
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Calls fn(entry) for every entry whose padded x-interval meets
-  /// [x_lo, x_hi] (closed): exactly the entries with
-  /// rect.lo().x - pad <= x_hi and rect.hi().x + pad >= x_lo, in
-  /// unspecified order (callers normalize through the event sort).
-  template <typename Fn>
-  void for_overlapping_x(double x_lo, double x_hi, Fn&& fn) const {
-    for (std::size_t i = upper_bound_lo_x(x_hi); i-- > 0;) {
-      if (prefix_max_hi_x_[i] < x_lo) break;
-      if (hi_x_[i] >= x_lo) fn(entries_[i]);
-    }
-  }
-
-  /// Number of entries for_overlapping_x would visit. The tracer's
-  /// cheap "can this tube possibly join two contacts" test — candidate
-  /// counts bound crossing counts from above, so a count below 2 proves
-  /// a band cannot produce any stray effect for this tube.
-  [[nodiscard]] int count_overlapping_x(double x_lo, double x_hi) const {
-    int count = 0;
-    for (std::size_t i = upper_bound_lo_x(x_hi); i-- > 0;) {
-      if (prefix_max_hi_x_[i] < x_lo) break;
-      if (hi_x_[i] >= x_lo) ++count;
-    }
-    return count;
-  }
-
- private:
-  /// First sorted position whose padded lo.x exceeds x_hi.
-  [[nodiscard]] std::size_t upper_bound_lo_x(double x_hi) const {
-    std::size_t lo = 0;
-    std::size_t hi = lo_x_.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (lo_x_[mid] <= x_hi) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
-  std::vector<Entry> entries_;           ///< sorted by (lo.x, total order)
-  std::vector<double> lo_x_;             ///< rect.lo().x - kQueryPad
-  std::vector<double> hi_x_;             ///< rect.hi().x + kQueryPad
-  std::vector<double> prefix_max_hi_x_;  ///< max hi_x_ over entries_[0..i]
-};
 
 /// The per-CellGeometry index. Immutable after construction; safe to
 /// share across threads without locking (all queries are const).
@@ -128,12 +64,17 @@ class GeometryIndex {
     netlist::FetType doping = netlist::FetType::kN;
     // The band box as doubles: q_* are padded by kQueryPad (touch
     // tests), lo_x/hi_x are raw (x-span clamping; the pad for span
-    // queries lives inside the IntervalIndex bounds).
+    // queries lives inside the *_x interval bounds).
     double lo_x = 0.0, hi_x = 0.0;
     double q_lo_x = 0.0, q_hi_x = 0.0, q_lo_y = 0.0, q_hi_y = 0.0;
-    IntervalIndex contacts;
-    IntervalIndex gates;
-    IntervalIndex etches;
+    // The shapes touching the band, each list in a deterministic x order,
+    // and their padded x extents: position i of a *_x hit is list[i].
+    std::vector<layout::ContactShape> contacts;
+    std::vector<layout::GateShape> gates;
+    std::vector<geom::Rect> etches;
+    geom::IntervalIndex contacts_x;
+    geom::IntervalIndex gates_x;
+    geom::IntervalIndex etches_x;
   };
 
   /// Builds the index and proves the bands pairwise disjoint (the
@@ -147,16 +88,10 @@ class GeometryIndex {
   }
   [[nodiscard]] const std::vector<BandIndex>& bands() const { return bands_; }
 
-  /// Cheap early-out: false when the closed box [lo, hi] cannot touch
-  /// any band's padded rectangle, so the whole tube can be skipped.
-  [[nodiscard]] bool may_touch_bands(geom::DVec2 lo, geom::DVec2 hi) const {
-    return has_bands_ && lo.x <= bands_hi_.x && hi.x >= bands_lo_.x &&
-           lo.y <= bands_hi_.y && hi.y >= bands_lo_.y;
-  }
-
-  /// Axis-split halves of may_touch_bands, so the tracer can reject on
-  /// the y-extent (the common miss: bands are short and wide) before
-  /// spending min/max work on the x-extent.
+  /// Cheap early-outs: false when the closed span cannot touch any
+  /// band's padded rectangle, so the whole tube can be skipped. Split by
+  /// axis so the tracer can reject on the y-extent (the common miss:
+  /// bands are short and wide) before spending min/max work on x.
   [[nodiscard]] bool may_touch_bands_y(double y_lo, double y_hi) const {
     return has_bands_ && y_lo <= bands_hi_.y && y_hi >= bands_lo_.y;
   }
@@ -165,19 +100,19 @@ class GeometryIndex {
   }
 
   /// Bitmask of band indices whose padded y-interval meets [y_lo, y_hi]
-  /// (closed): bit i set means bands()[i] is a candidate. Sorted-by-lo.y
-  /// walk with a prefix max of hi.y, so the scan exits early on queries
-  /// below every remaining band.
-  [[nodiscard]] std::uint64_t bands_in_y(double y_lo, double y_hi) const;
+  /// (closed): bit i set means bands()[i] is a candidate, so walking the
+  /// set bits low-to-high visits candidates in original band order.
+  [[nodiscard]] std::uint64_t bands_in_y(double y_lo, double y_hi) const {
+    std::uint64_t mask = 0;
+    bands_y_.for_each_overlapping(
+        y_lo, y_hi, [&](std::size_t i) { mask |= std::uint64_t{1} << i; });
+    return mask;
+  }
 
  private:
   layout::CellGeometry geometry_;
   std::vector<BandIndex> bands_;
-  // Band y-bin, sorted by lo.y; bounds pre-padded by kQueryPad.
-  std::vector<double> band_lo_y_;
-  std::vector<double> band_hi_y_;
-  std::vector<double> prefix_max_hi_y_;
-  std::vector<std::uint32_t> band_order_;  ///< sorted position -> band index
+  geom::IntervalIndex bands_y_;  ///< padded band y extents, by band index
   bool has_bands_ = false;
   geom::DVec2 bands_lo_{};  ///< padded bounding box over every band
   geom::DVec2 bands_hi_{};

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
+
+#include "geom/rect_index.hpp"
 
 namespace cnfet::drc {
 
@@ -164,44 +167,53 @@ DrcReport check(const layout::CellLayout& cell, const DrcOptions& options) {
 
 namespace {
 
-/// One drawn shape of the routed design, flattened for the wire deck.
-struct RouteShape {
-  int net = 0;
-  Rect rect;
-  bool is_via = false;  ///< exempt from the spacing rule, not from shorts
+/// One metal layer of the routed design, flattened for the wire deck in
+/// routing order: nets as stored, each net's wires before its vias.
+struct RouteLayer {
+  const char* name;
+  geom::RectIndex::Axis along;  ///< the layer's preferred direction
+  std::vector<Rect> rects;
+  std::vector<int> net;
+  std::vector<bool> is_via;  ///< exempt from the spacing rule, not shorts
+
+  void add(const Rect& rect, int owner, bool via) {
+    rects.push_back(rect);
+    net.push_back(owner);
+    is_via.push_back(via);
+  }
 };
 
-/// Sweep one layer's shapes for spacing/short violations. `key` projects
-/// the sweep axis (the axis *across* the layer's preferred direction, so a
-/// shape's key interval stays narrow and the scan window small).
-template <typename KeyLo, typename KeyHi>
-void sweep_layer(std::vector<RouteShape>& shapes, Coord spacing,
-                 KeyLo key_lo, KeyHi key_hi, const std::string& layer_name,
-                 DrcReport& report) {
-  std::sort(shapes.begin(), shapes.end(),
-            [&](const RouteShape& a, const RouteShape& b) {
-              return key_lo(a.rect) < key_lo(b.rect);
-            });
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    for (std::size_t j = i + 1; j < shapes.size(); ++j) {
-      if (key_lo(shapes[j].rect) > key_hi(shapes[i].rect) + spacing) break;
-      if (shapes[i].net == shapes[j].net) continue;
-      if (shapes[i].rect.touches(shapes[j].rect)) {
-        report.violations.push_back(Violation{
-            RuleId::kWireShort,
-            "nets " + std::to_string(shapes[i].net) + " and " +
-                std::to_string(shapes[j].net) + " touch on " + layer_name,
-            shapes[i].rect});
-      } else if (!shapes[i].is_via && !shapes[j].is_via &&
-                 shapes[i].rect.expanded(spacing).overlaps(shapes[j].rect)) {
-        report.violations.push_back(Violation{
-            RuleId::kWireSpacing,
-            "nets " + std::to_string(shapes[i].net) + " and " +
-                std::to_string(shapes[j].net) + " below wire spacing on " +
-                layer_name,
-            shapes[i].rect});
-      }
+/// Spacing/short violations between distinct nets on one layer, each
+/// unordered shape pair at most once, ordered by (first, second) shape.
+void check_layer(RouteLayer layer, Coord spacing, DrcReport& report) {
+  const geom::RectIndex index(std::move(layer.rects), layer.along);
+  const auto& rects = index.rects();
+  struct Hit {
+    std::size_t i, j;
+    RuleId rule;
+  };
+  std::vector<Hit> hits;
+  index.for_each_touching_pair(spacing, [&](std::size_t i, std::size_t j) {
+    if (layer.net[i] == layer.net[j]) return;
+    if (rects[i].touches(rects[j])) {
+      hits.push_back({i, j, RuleId::kWireShort});
+    } else if (!layer.is_via[i] && !layer.is_via[j] &&
+               rects[i].expanded(spacing).overlaps(rects[j])) {
+      hits.push_back({i, j, RuleId::kWireSpacing});
     }
+  });
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return std::tie(a.i, a.j) < std::tie(b.i, b.j);
+  });
+  for (const auto& h : hits) {
+    const std::string nets = "nets " + std::to_string(layer.net[h.i]) +
+                             " and " + std::to_string(layer.net[h.j]);
+    report.violations.push_back(Violation{
+        h.rule,
+        nets + (h.rule == RuleId::kWireShort ? " touch on "
+                                             : " below wire spacing on ") +
+            layer.name,
+        rects[h.i]});
   }
 }
 
@@ -211,13 +223,11 @@ DrcReport check_routes(const route::RoutingResult& routing,
                        const layout::DesignRules& rules) {
   DrcReport report;
   const Coord min_width = rules.db(rules.wire_width);
-  const Coord spacing = rules.db(rules.wire_spacing);
 
-  // Flatten per layer. metal2 (layer 0) is horizontal-preferred, so its
-  // sweep axis is y (narrow per shape); metal3 sweeps in x. Vias land on
+  // metal2 (layer 0) prefers horizontal, metal3 vertical; vias land on
   // both layers.
-  std::vector<RouteShape> layer0;
-  std::vector<RouteShape> layer1;
+  RouteLayer metal2{"metal2", geom::RectIndex::Axis::kX, {}, {}, {}};
+  RouteLayer metal3{"metal3", geom::RectIndex::Axis::kY, {}, {}, {}};
   for (const auto& rn : routing.nets) {
     for (const auto& w : rn.wires) {
       if (w.width < min_width) {
@@ -226,19 +236,16 @@ DrcReport check_routes(const route::RoutingResult& routing,
             "net " + std::to_string(rn.net) + " wire below minimum width",
             w.rect()});
       }
-      (w.layer == 0 ? layer0 : layer1).push_back({rn.net, w.rect(), false});
+      (w.layer == 0 ? metal2 : metal3).add(w.rect(), rn.net, false);
     }
     for (const auto& v : rn.vias) {
-      layer0.push_back({rn.net, v.rect(), true});
-      layer1.push_back({rn.net, v.rect(), true});
+      metal2.add(v.rect(), rn.net, true);
+      metal3.add(v.rect(), rn.net, true);
     }
   }
-  sweep_layer(
-      layer0, spacing, [](const Rect& r) { return r.lo().y; },
-      [](const Rect& r) { return r.hi().y; }, "metal2", report);
-  sweep_layer(
-      layer1, spacing, [](const Rect& r) { return r.lo().x; },
-      [](const Rect& r) { return r.hi().x; }, "metal3", report);
+  const Coord spacing = rules.db(rules.wire_spacing);
+  check_layer(std::move(metal2), spacing, report);
+  check_layer(std::move(metal3), spacing, report);
   return report;
 }
 

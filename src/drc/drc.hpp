@@ -62,6 +62,14 @@ struct DrcOptions {
 /// (vias are exempt from the spacing rule — on the standard pitch their
 /// slightly-larger landing pads legally sit closer than wire_spacing —
 /// but not from shorts); no touching metal between distinct nets.
+///
+/// Violation order is canonical. Shapes are numbered per layer in routing
+/// order: nets as stored, each net's wires before its vias (a via is a
+/// shape on both layers). The report lists every wire.min_width in
+/// routing order, then the metal2 pair violations, then the metal3 ones.
+/// Each unordered pair of distinct-net shapes appears at most once per
+/// layer, sorted by its lower shape number and then its higher one; the
+/// detail names the lower shape's net first and `where` is its rect.
 [[nodiscard]] DrcReport check_routes(const route::RoutingResult& routing,
                                      const layout::DesignRules& rules);
 

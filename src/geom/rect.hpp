@@ -67,15 +67,6 @@ class Rect {
            r.hi_.y > lo_.y;
   }
 
-  /// touches() against a continuous-space closed box [lo, hi] — the CNT
-  /// tracer's cheap reject before running segment clip math.
-  [[nodiscard]] constexpr bool touches_box(DVec2 box_lo, DVec2 box_hi) const {
-    return box_lo.x <= static_cast<double>(hi_.x) &&
-           box_hi.x >= static_cast<double>(lo_.x) &&
-           box_lo.y <= static_cast<double>(hi_.y) &&
-           box_hi.y >= static_cast<double>(lo_.y);
-  }
-
   [[nodiscard]] std::optional<Rect> intersection(const Rect& r) const;
 
   /// Smallest rectangle containing both.

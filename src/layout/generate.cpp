@@ -23,8 +23,6 @@ const char* to_string(LayoutStyle style) {
   return "?";
 }
 
-bool needs_contact(NetId v, int degree) { return euler::contact_worthy(v, degree); }
-
 namespace {
 
 std::map<NetId, int> degrees(const std::vector<PlaneEdge>& edges) {
@@ -48,10 +46,12 @@ PlaneSeq trails_to_seq(const euler::PlaneOrder& order,
   for (std::size_t t = 0; t < order.trails.size(); ++t) {
     if (t > 0) seq.push_back(PlaneElement::etch());
     const auto verts = order.trails[t].vertices(edges);
-    CNFET_REQUIRE_MSG(needs_contact(verts.front(), deg.at(verts.front())),
-                      "trail must start at a contact-worthy net");
-    CNFET_REQUIRE_MSG(needs_contact(verts.back(), deg.at(verts.back())),
-                      "trail must end at a contact-worthy net");
+    CNFET_REQUIRE_MSG(
+        euler::contact_worthy(verts.front(), deg.at(verts.front())),
+        "trail must start at a contact-worthy net");
+    CNFET_REQUIRE_MSG(
+        euler::contact_worthy(verts.back(), deg.at(verts.back())),
+        "trail must end at a contact-worthy net");
     seq.push_back(PlaneElement::contact(verts.front()));
     for (std::size_t k = 0; k < order.trails[t].steps.size(); ++k) {
       const auto& step = order.trails[t].steps[k];
@@ -59,7 +59,7 @@ PlaneSeq trails_to_seq(const euler::PlaneOrder& order,
           PlaneElement::gate(edges[static_cast<std::size_t>(step.edge)].gate_input));
       const NetId v = verts[k + 1];
       const bool last = (k + 1 == order.trails[t].steps.size());
-      if (last || needs_contact(v, deg.at(v))) {
+      if (last || euler::contact_worthy(v, deg.at(v))) {
         seq.push_back(PlaneElement::contact(v));
       }
     }
@@ -84,7 +84,7 @@ PlaneSeq direct_seq(const std::vector<PlaneEdge>& edges, bool isolate_every_fet,
     if (!chain) {
       if (open_at != -1 && etch_between) seq.push_back(PlaneElement::etch());
       seq.push_back(PlaneElement::contact(e.u));
-    } else if (needs_contact(e.u, deg.at(e.u))) {
+    } else if (euler::contact_worthy(e.u, deg.at(e.u))) {
       // Continuing through a junction/rail still lands a contact there.
       if (seq.back().kind != ElementKind::kContact) {
         seq.push_back(PlaneElement::contact(e.u));
@@ -101,7 +101,7 @@ PlaneSeq direct_seq(const std::vector<PlaneEdge>& edges, bool isolate_every_fet,
   for (std::size_t i = 0; i < seq.size(); ++i) {
     const auto& el = seq[i];
     if (el.kind == ElementKind::kContact &&
-        !needs_contact(el.id, deg.at(el.id))) {
+        !euler::contact_worthy(el.id, deg.at(el.id))) {
       const bool gate_before =
           i > 0 && seq[i - 1].kind == ElementKind::kGate;
       const bool gate_after =

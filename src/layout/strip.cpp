@@ -54,8 +54,7 @@ Coord spacing(const PlaneElement& a, const PlaneElement& b,
   return 0;
 }
 
-}  // namespace
-
+/// Natural left-edge x position of every gate in the sequence.
 std::vector<Coord> natural_gate_positions(const PlaneSeq& seq,
                                           const DesignRules& rules) {
   std::vector<Coord> xs;
@@ -67,6 +66,8 @@ std::vector<Coord> natural_gate_positions(const PlaneSeq& seq,
   }
   return xs;
 }
+
+}  // namespace
 
 std::vector<Coord> align_gate_positions(const PlaneSeq& a, const PlaneSeq& b,
                                         const DesignRules& rules) {
@@ -135,12 +136,6 @@ int gate_count(const PlaneSeq& seq) {
   return static_cast<int>(std::count_if(
       seq.begin(), seq.end(),
       [](const PlaneElement& e) { return e.kind == ElementKind::kGate; }));
-}
-
-int contact_count(const PlaneSeq& seq) {
-  return static_cast<int>(std::count_if(
-      seq.begin(), seq.end(),
-      [](const PlaneElement& e) { return e.kind == ElementKind::kContact; }));
 }
 
 int etch_count(const PlaneSeq& seq) {

@@ -80,10 +80,6 @@ struct StripGeometry {
     const DesignRules& rules, geom::Coord y0 = 0,
     const std::vector<geom::Coord>* gate_anchors = nullptr);
 
-/// Natural left-edge x position of every gate in the sequence.
-[[nodiscard]] std::vector<geom::Coord> natural_gate_positions(
-    const PlaneSeq& seq, const DesignRules& rules);
-
 /// Joint anchors: element-wise max of both planes' natural gate positions.
 /// Requires equal gate counts (true for dual static planes).
 [[nodiscard]] std::vector<geom::Coord> align_gate_positions(
@@ -91,8 +87,6 @@ struct StripGeometry {
 
 /// Number of gates in a sequence.
 [[nodiscard]] int gate_count(const PlaneSeq& seq);
-/// Number of contacts in a sequence.
-[[nodiscard]] int contact_count(const PlaneSeq& seq);
 /// Number of etched slots in a sequence.
 [[nodiscard]] int etch_count(const PlaneSeq& seq);
 

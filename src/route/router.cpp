@@ -5,6 +5,7 @@
 #include <map>
 #include <utility>
 
+#include "geom/rect_index.hpp"
 #include "util/error.hpp"
 
 namespace cnfet::route {
@@ -619,7 +620,7 @@ RoutingResult route(const flow::GateNetlist& netlist,
 
 namespace {
 
-/// Union-find over one net's shapes (plus one slot per terminal).
+/// Union-find over the drawn shapes (plus one slot per terminal).
 class DisjointSet {
  public:
   explicit DisjointSet(std::size_t n) : parent_(n) {
@@ -641,11 +642,18 @@ class DisjointSet {
   std::vector<int> parent_;
 };
 
-struct IndexedShape {
-  int net = 0;
-  int layer = 0;  ///< 0/1 for wires; a via is indexed on both layers
-  geom::Rect rect;
-  int local = 0;  ///< shape index within its net
+/// One layer's drawn metal for the oracle: wires of that layer plus every
+/// via (a via lands on both layers).
+struct LayerShapes {
+  std::vector<geom::Rect> rects;
+  std::vector<int> owner;  ///< index into RoutingResult::nets
+  std::vector<int> node;   ///< union-find node
+
+  void add(const geom::Rect& rect, int owner_net, int dsu_node) {
+    rects.push_back(rect);
+    owner.push_back(owner_net);
+    node.push_back(dsu_node);
+  }
 };
 
 }  // namespace
@@ -668,8 +676,12 @@ VerifyReport verify(const flow::GateNetlist& netlist,
   }
   PinCache pins;
 
-  std::vector<IndexedShape> all;
-  for (const auto& rn : routing.nets) {
+  // Union-find nodes: per routed net, its wires, then its vias, then its
+  // terminals; net k owns nodes [first_node[k], first_node[k + 1]).
+  std::vector<int> first_node(routing.nets.size() + 1, 0);
+  LayerShapes layers[2];
+  for (std::size_t k = 0; k < routing.nets.size(); ++k) {
+    const auto& rn = routing.nets[k];
     ++report.nets_checked;
     // Stored terminals must sit within a pitch of the true pin points
     // (the snap distance bound; ring probing can push them further only
@@ -687,91 +699,73 @@ VerifyReport verify(const flow::GateNetlist& netlist,
       }
     }
 
-    // Connectivity by union-find over the drawn shapes.
-    const std::size_t num_shapes = rn.wires.size() + rn.vias.size();
-    DisjointSet dsu(num_shapes + rn.terminals.size());
-    const auto layer_of = [&](std::size_t s) {
-      return s < rn.wires.size() ? rn.wires[s].layer : -1;  // -1: via (both)
-    };
-    const auto rect_of = [&](std::size_t s) {
-      return s < rn.wires.size() ? rn.wires[s].rect()
-                                 : rn.vias[s - rn.wires.size()].rect();
-    };
-    for (std::size_t s = 0; s < num_shapes; ++s) {
-      for (std::size_t t = s + 1; t < num_shapes; ++t) {
-        const int ls = layer_of(s), lt = layer_of(t);
-        if (ls >= 0 && lt >= 0 && ls != lt) continue;
-        if (rect_of(s).touches(rect_of(t))) {
-          dsu.unite(static_cast<int>(s), static_cast<int>(t));
-        }
-      }
+    const int owner = static_cast<int>(k);
+    int node = first_node[k];
+    for (const auto& w : rn.wires) {
+      layers[w.layer == 0 ? 0 : 1].add(w.rect(), owner, node++);
     }
-    // Terminals connect where a layer-0 shape (wire or via) covers them.
-    for (std::size_t i = 0; i < rn.terminals.size(); ++i) {
-      const int tid = static_cast<int>(num_shapes + i);
-      for (std::size_t s = 0; s < num_shapes; ++s) {
-        if (layer_of(s) == 1) continue;
-        if (rect_of(s).contains(rn.terminals[i])) {
-          dsu.unite(tid, static_cast<int>(s));
-        }
-      }
-      // Coincident terminals are electrically one point even with no metal.
-      for (std::size_t j = 0; j < i; ++j) {
-        if (rn.terminals[j] == rn.terminals[i]) {
-          dsu.unite(tid, static_cast<int>(num_shapes + j));
-        }
-      }
+    for (const auto& v : rn.vias) {
+      for (auto& layer : layers) layer.add(v.rect(), owner, node);
+      ++node;
     }
-    bool open = false;
-    if (!rn.terminals.empty()) {
-      const int root = dsu.find(static_cast<int>(num_shapes));
-      for (std::size_t i = 1; i < rn.terminals.size(); ++i) {
-        if (dsu.find(static_cast<int>(num_shapes + i)) != root) open = true;
-      }
-      for (std::size_t s = 0; s < num_shapes; ++s) {
-        if (dsu.find(static_cast<int>(s)) != root) open = true;
-      }
-    }
-    if (open) ++report.open_nets;
-
-    for (std::size_t s = 0; s < num_shapes; ++s) {
-      const int layer = layer_of(s);
-      if (layer < 0) {
-        all.push_back({rn.net, 0, rect_of(s), static_cast<int>(s)});
-        all.push_back({rn.net, 1, rect_of(s), static_cast<int>(s)});
-      } else {
-        all.push_back({rn.net, layer, rect_of(s), static_cast<int>(s)});
-      }
-    }
+    first_node[k + 1] = node + static_cast<int>(rn.terminals.size());
   }
+  DisjointSet dsu(static_cast<std::size_t>(first_node.back()));
 
-  // Shorts: shapes of distinct nets touching on a layer. On the uniform
-  // grid a shape's vertical extent never reaches the next track, so only
-  // same-track-bucket pairs can touch; bucket by (layer, row) and sweep.
-  std::sort(all.begin(), all.end(), [&](const auto& a, const auto& b) {
-    const geom::Coord ra = a.rect.center().y / pitch;
-    const geom::Coord rb = b.rect.center().y / pitch;
-    if (a.layer != b.layer) return a.layer < b.layer;
-    if (ra != rb) return ra < rb;
-    return a.rect.lo().x < b.rect.lo().x;
-  });
+  // One touching-pair enumeration per layer: same-net pairs connect,
+  // distinct-net pairs are shorts.
+  // Rows follow each layer's preferred direction (metal2 horizontal).
+  const geom::RectIndex index[2] = {
+      geom::RectIndex(std::move(layers[0].rects), geom::RectIndex::Axis::kX),
+      geom::RectIndex(std::move(layers[1].rects), geom::RectIndex::Axis::kY)};
   std::vector<std::pair<int, int>> shorted;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const geom::Coord row_i = all[i].rect.center().y / pitch;
-    for (std::size_t j = i + 1; j < all.size(); ++j) {
-      if (all[j].layer != all[i].layer) break;
-      if (all[j].rect.center().y / pitch != row_i) break;
-      if (all[j].rect.lo().x > all[i].rect.hi().x) break;
-      if (all[j].net == all[i].net) continue;
-      if (all[i].rect.touches(all[j].rect)) {
-        shorted.emplace_back(std::min(all[i].net, all[j].net),
-                             std::max(all[i].net, all[j].net));
+  for (int l = 0; l < 2; ++l) {
+    const auto& layer = layers[l];
+    index[l].for_each_touching_pair(0, [&](std::size_t i, std::size_t j) {
+      const int a = layer.owner[i];
+      const int b = layer.owner[j];
+      if (a == b) {
+        dsu.unite(layer.node[i], layer.node[j]);
+      } else {
+        const int net_a = routing.nets[static_cast<std::size_t>(a)].net;
+        const int net_b = routing.nets[static_cast<std::size_t>(b)].net;
+        shorted.emplace_back(std::min(net_a, net_b), std::max(net_a, net_b));
       }
-    }
+    });
   }
   std::sort(shorted.begin(), shorted.end());
   shorted.erase(std::unique(shorted.begin(), shorted.end()), shorted.end());
   report.shorted_net_pairs = static_cast<int>(shorted.size());
+
+  for (std::size_t k = 0; k < routing.nets.size(); ++k) {
+    const auto& rn = routing.nets[k];
+    const int first_terminal =
+        first_node[k + 1] - static_cast<int>(rn.terminals.size());
+    for (std::size_t i = 0; i < rn.terminals.size(); ++i) {
+      const int tid = first_terminal + static_cast<int>(i);
+      // Terminals connect where a layer-0 shape (wire or via) covers them.
+      index[0].for_each_touching(
+          geom::Rect(rn.terminals[i], rn.terminals[i]), [&](std::size_t s) {
+            if (layers[0].owner[s] == static_cast<int>(k)) {
+              dsu.unite(tid, layers[0].node[s]);
+            }
+          });
+      // Coincident terminals are electrically one point even with no metal.
+      for (std::size_t j = 0; j < i; ++j) {
+        if (rn.terminals[j] == rn.terminals[i]) {
+          dsu.unite(tid, first_terminal + static_cast<int>(j));
+        }
+      }
+    }
+    if (rn.terminals.empty()) continue;
+    const int root = dsu.find(first_terminal);
+    for (int id = first_node[k]; id < first_node[k + 1]; ++id) {
+      if (dsu.find(id) != root) {
+        ++report.open_nets;
+        break;
+      }
+    }
+  }
   return report;
 }
 

@@ -6,6 +6,7 @@
 // sanitizer runs can exclude it (-LE scale).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "route/router.hpp"
 #include "sta/timing_graph.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace cnfet {
 namespace {
@@ -142,6 +144,49 @@ TEST(RouteTier, OracleFlagsInjectedOpensAndShorts) {
   EXPECT_GT(route::verify(design.netlist, placement, shorted, rules)
                 .shorted_net_pairs,
             0);
+
+  // Short away from a wire's centre: a foreign via landing on a long
+  // metal3 wire at a node off the wire's centre row, where no metal2
+  // shape can join the two nets. The via touches the wire only on metal3.
+  const geom::Coord pitch = rules.db(rules.route_pitch);
+  const auto touches_metal2 = [&](const geom::Rect& r) {
+    for (const auto& rn : routing.nets) {
+      for (const auto& w : rn.wires) {
+        if (w.layer == 0 && w.rect().touches(r)) return true;
+      }
+      for (const auto& v : rn.vias) {
+        if (v.rect().touches(r)) return true;
+      }
+    }
+    return false;
+  };
+  std::size_t owner = 0;
+  const route::Wire* long_wire = nullptr;
+  for (std::size_t k = 0; k < routing.nets.size() && !long_wire; ++k) {
+    for (const auto& w : routing.nets[k].wires) {
+      if (w.layer == 1 && w.b.y - w.a.y >= 4 * pitch) {
+        owner = k;
+        long_wire = &w;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(long_wire, nullptr);
+  auto via_shorted = routing;
+  bool injected = false;
+  const geom::Coord centre_row = long_wire->rect().center().y / pitch;
+  for (geom::Coord y = long_wire->a.y; y <= long_wire->b.y; y += pitch) {
+    const route::Via via{{long_wire->a.x, y}, rules.db(rules.via_size)};
+    if (y / pitch == centre_row || touches_metal2(via.rect())) continue;
+    via_shorted.nets[owner == 0 ? 1 : 0].vias.push_back(via);
+    injected = true;
+    break;
+  }
+  ASSERT_TRUE(injected);
+  EXPECT_GT(route::verify(design.netlist, placement, via_shorted, rules)
+                .shorted_net_pairs,
+            0);
+  EXPECT_FALSE(drc::check_routes(via_shorted, rules).clean());
 }
 
 TEST(RouteTier, ElmoreMatchesHandComputedStraightWire) {
@@ -235,6 +280,137 @@ TEST(RouteTier, ElmoreMatchesHandComputedViaCorner) {
   ASSERT_EQ(extraction.nets.front().sink_elmore_s.size(), 1U);
   EXPECT_DOUBLE_EQ(extraction.nets.front().sink_elmore_s.front(),
                    2.0 * step_res * step_cap + rules.via_res * step_cap);
+}
+
+/// All-pairs reference for drc::check_routes, written straight from the
+/// deck and the violation order documented in drc.hpp: min width in
+/// routing order, then every distinct-net shape pair per layer.
+drc::DrcReport all_pairs_wire_drc(const route::RoutingResult& routing,
+                                  const layout::DesignRules& rules) {
+  drc::DrcReport report;
+  const geom::Coord min_width = rules.db(rules.wire_width);
+  const geom::Coord spacing = rules.db(rules.wire_spacing);
+  struct Shape {
+    int net;
+    geom::Rect rect;
+    bool via;
+  };
+  std::vector<Shape> layers[2];
+  for (const auto& rn : routing.nets) {
+    for (const auto& w : rn.wires) {
+      if (w.width < min_width) {
+        report.violations.push_back(
+            {drc::RuleId::kWireMinWidth,
+             "net " + std::to_string(rn.net) + " wire below minimum width",
+             w.rect()});
+      }
+      layers[w.layer].push_back({rn.net, w.rect(), false});
+    }
+    for (const auto& v : rn.vias) {
+      for (auto& layer : layers) layer.push_back({rn.net, v.rect(), true});
+    }
+  }
+  const char* names[2] = {"metal2", "metal3"};
+  for (int l = 0; l < 2; ++l) {
+    const auto& shapes = layers[l];
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      for (std::size_t j = i + 1; j < shapes.size(); ++j) {
+        const auto& a = shapes[i];
+        const auto& b = shapes[j];
+        if (a.net == b.net) continue;
+        const std::string nets =
+            "nets " + std::to_string(a.net) + " and " + std::to_string(b.net);
+        if (a.rect.touches(b.rect)) {
+          report.violations.push_back({drc::RuleId::kWireShort,
+                                       nets + " touch on " + names[l],
+                                       a.rect});
+        } else if (!a.via && !b.via &&
+                   a.rect.expanded(spacing).overlaps(b.rect)) {
+          report.violations.push_back(
+              {drc::RuleId::kWireSpacing,
+               nets + " below wire spacing on " + names[l], a.rect});
+        }
+      }
+    }
+  }
+  return report;
+}
+
+/// Grafts copies of one net's wires and vias onto other nets at offsets
+/// that land on, beside or just clear of the original, so both layers
+/// see shorts, spacing errors and via-on-via pairs; a few wires also
+/// shrink below the minimum width.
+route::RoutingResult inject_wire_errors(route::RoutingResult routing,
+                                        util::Xoshiro256& rng) {
+  const geom::Coord offsets[] = {0, 500, 1000, 2000, 2999, 3000, 4000, 6000};
+  const auto offset = [&] {
+    const geom::Coord d = offsets[rng.below(std::size(offsets))];
+    return rng.below(2) == 0 ? d : -d;
+  };
+  const auto n = routing.nets.size();
+  const int injections = 1 + static_cast<int>(rng.below(12));
+  for (int k = 0; k < injections; ++k) {
+    const auto& from = routing.nets[rng.below(n)];
+    auto& to = routing.nets[rng.below(n)];
+    if (&from == &to) continue;
+    const auto kind = rng.below(4);
+    if (kind < 2 && !from.wires.empty()) {
+      route::Wire w = from.wires[rng.below(from.wires.size())];
+      const geom::Vec2 shift{offset(), offset()};
+      w.a = w.a + shift;
+      w.b = w.b + shift;
+      if (rng.below(8) == 0) w.width /= 2;
+      to.wires.push_back(w);
+    } else if (!from.vias.empty()) {
+      route::Via v = from.vias[rng.below(from.vias.size())];
+      if (kind == 3) v.at = v.at + geom::Vec2{offset(), offset()};
+      to.vias.push_back(v);  // kind 2: via on via
+    }
+  }
+  return routing;
+}
+
+std::map<drc::RuleId, int> rule_counts(const drc::DrcReport& report) {
+  std::map<drc::RuleId, int> counts;
+  for (const auto& v : report.violations) ++counts[v.rule];
+  return counts;
+}
+
+TEST(RouteTier, WireDrcMatchesAllPairsReferenceOnFuzzedRoutings) {
+  const auto& rules = cnfet_rules();
+  util::Xoshiro256 rng(2024);
+  std::map<drc::RuleId, int> seen;
+  std::map<std::string, int> seen_layers;
+  for (const std::uint64_t seed : {3, 7, 12}) {
+    auto design = random_dag(80, 8, seed);
+    const auto placement = flow::place(design.netlist);
+    const auto clean = route::route(design.netlist, placement, rules);
+    EXPECT_TRUE(drc::check_routes(clean, rules).clean());
+    EXPECT_TRUE(all_pairs_wire_drc(clean, rules).clean());
+    for (int round = 0; round < 12; ++round) {
+      const auto routing = inject_wire_errors(clean, rng);
+      const auto got = drc::check_routes(routing, rules);
+      const auto want = all_pairs_wire_drc(routing, rules);
+      ASSERT_EQ(rule_counts(got), rule_counts(want))
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(got.violations.size(), want.violations.size());
+      for (std::size_t i = 0; i < got.violations.size(); ++i) {
+        EXPECT_EQ(got.violations[i].rule, want.violations[i].rule);
+        EXPECT_EQ(got.violations[i].detail, want.violations[i].detail);
+        EXPECT_EQ(got.violations[i].where, want.violations[i].where);
+      }
+      for (const auto& [rule, count] : rule_counts(want)) seen[rule] += count;
+      for (const auto& v : want.violations) {
+        ++seen_layers[v.detail.substr(v.detail.size() - 6)];
+      }
+    }
+  }
+  // The fuzz must actually exercise every wire rule.
+  EXPECT_GT(seen[drc::RuleId::kWireShort], 0);
+  EXPECT_GT(seen[drc::RuleId::kWireSpacing], 0);
+  EXPECT_GT(seen[drc::RuleId::kWireMinWidth], 0);
+  EXPECT_GT(seen_layers["metal2"], 0);
+  EXPECT_GT(seen_layers["metal3"], 0);
 }
 
 TEST(RouteTier, FamilyCellsRouteDrcCleanAndNeverBeatIdeal) {
