@@ -16,6 +16,8 @@ using flow::Gate;
 
 /// The two-layer node grid. Node (x, y, layer) sits at a track crossing;
 /// layer 0 (metal2) carries horizontal moves, layer 1 (metal3) vertical.
+/// The layers interleave in the node index, so a via step lands on the
+/// neighbouring word.
 struct Grid {
   geom::Coord pitch = 0;
   geom::Vec2 lo;  ///< center of node (0, 0)
@@ -24,11 +26,11 @@ struct Grid {
 
   [[nodiscard]] int nodes() const { return nx * ny * 2; }
   [[nodiscard]] int idx(int x, int y, int layer) const {
-    return (layer * ny + y) * nx + x;
+    return ((y * nx + x) << 1) | layer;
   }
-  [[nodiscard]] int x_of(int node) const { return node % nx; }
-  [[nodiscard]] int y_of(int node) const { return (node / nx) % ny; }
-  [[nodiscard]] int layer_of(int node) const { return node / (nx * ny); }
+  [[nodiscard]] int x_of(int node) const { return (node >> 1) % nx; }
+  [[nodiscard]] int y_of(int node) const { return (node >> 1) / nx; }
+  [[nodiscard]] int layer_of(int node) const { return node & 1; }
   [[nodiscard]] geom::Vec2 center(int x, int y) const {
     return {lo.x + pitch * x, lo.y + pitch * y};
   }
@@ -107,8 +109,25 @@ std::vector<geom::Vec2> terminal_points(const flow::GateNetlist& netlist,
   return points;
 }
 
-// came_from move codes (how the BFS reached a node).
+// came_from move codes (how a search reached a node).
 enum : std::uint8_t { kFromNegX, kFromPosX, kFromNegY, kFromPosY, kFromVia };
+
+// The per-node search word: g mod 8, a closed bit and a shortest-path-DAG
+// bit under the epoch of the search that wrote it. A word whose epoch is
+// not the current one reads as unvisited, so nothing is cleared between
+// searches.
+constexpr int kEpochShift = 5;
+constexpr std::uint32_t kGMask = 7;
+constexpr std::uint32_t kClosed = 1U << 3;
+constexpr std::uint32_t kOnDag = 1U << 4;
+constexpr std::uint32_t kMaxEpoch = (1U << (32 - kEpochShift)) - 1;
+
+/// A queued grid node with its coordinates, so the search never divides.
+struct Item {
+  int node = 0;
+  int x = 0;
+  int y = 0;
+};
 
 }  // namespace
 
@@ -180,9 +199,9 @@ RoutingResult route(const flow::GateNetlist& netlist,
     }
     return worst;
   };
-  // 2x congestion slack: greedy one-net-at-a-time BFS fragments the
-  // channel (there is no rip-up), so the fabric needs real headroom over
-  // the crossing lower bound.
+  // 2x congestion slack: greedy one-net-at-a-time routing fragments the
+  // channel, and rip-up only repairs nets that are walled in completely,
+  // so the fabric needs real headroom over the crossing lower bound.
   const int need_ny = max_crossing(x_spans) * 2 + 16;
   const int need_nx = max_crossing(y_spans) * 2 + 16;
 
@@ -290,17 +309,47 @@ RoutingResult route(const flow::GateNetlist& netlist,
                      return a.half_perimeter() < b.half_perimeter();
                    });
 
-  // BFS state, reused across nets. Epoch stamping avoids clearing the
+  // Search state, reused across nets. Epoch stamping avoids clearing the
   // per-node arrays between searches.
-  std::vector<std::uint32_t> visited(static_cast<std::size_t>(grid.nodes()),
-                                     0);
+  std::vector<std::uint32_t> state(static_cast<std::size_t>(grid.nodes()), 0);
   std::vector<std::uint32_t> tree_stamp(static_cast<std::size_t>(grid.nodes()),
                                         0);
   std::vector<std::uint8_t> came(static_cast<std::size_t>(grid.nodes()), 0);
-  std::vector<int> queue;
-  std::vector<int> tree_nodes;
+  std::vector<Item> ring[4];  ///< open nodes by f mod 4
+  std::vector<std::pair<int, Item>> seeds;  ///< (f, seed), f descending
+  std::vector<Item> pending;  ///< DAG-marking stack, blocker-search queue
+  std::vector<Item> tree_nodes;
   std::uint32_t epoch = 0;
   std::uint32_t stamp = 0;
+  const int row = 2 * grid.nx;  ///< node-index step of one grid row
+
+  const auto next_epoch = [&] {
+    if (++epoch > kMaxEpoch) {
+      std::fill(state.begin(), state.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  };
+  const auto seen = [&](int node) {
+    return state[static_cast<std::size_t>(node)] >> kEpochShift == epoch;
+  };
+  // Calls fn(node, x, y, came_code) for each in-window grid neighbour of
+  // `from`, in the fixed slot order the tie-break contract names (metal2:
+  // +x, -x, via; metal3: +y, -y, via), until fn returns true.
+  const auto for_each_step = [&](const Window& w, const Item& from,
+                                 auto&& fn) {
+    const int n = from.node;
+    const int x = from.x, y = from.y;
+    if ((n & 1) == 0) {
+      if (x < w.x1 && fn(n + 2, x + 1, y, kFromNegX)) return;
+      if (x > w.x0 && fn(n - 2, x - 1, y, kFromPosX)) return;
+    } else {
+      if (y < w.y1 && fn(n + row, x, y + 1, kFromNegY)) return;
+      if (y > w.y0 && fn(n - row, x, y - 1, kFromPosY)) return;
+    }
+    fn(n ^ 1, x, y, kFromVia);
+  };
+  const Window full_grid{0, 0, grid.nx - 1, grid.ny - 1};
 
   // Rip-up bookkeeping. Greedy nets can wall a later net into a pocket no
   // amount of fabric fixes; when that happens the stuck net finds the
@@ -355,7 +404,8 @@ RoutingResult route(const flow::GateNetlist& netlist,
 
     const std::uint32_t net_stamp = ++stamp;
     tree_nodes.clear();
-    tree_nodes.push_back(targets.front());
+    tree_nodes.push_back(Item{targets.front(), grid.x_of(targets.front()),
+                              grid.y_of(targets.front())});
     tree_stamp[static_cast<std::size_t>(targets.front())] = net_stamp;
 
     // Window escalation ladder around the terminal bbox.
@@ -380,50 +430,119 @@ RoutingResult route(const flow::GateNetlist& netlist,
       if (tree_stamp[static_cast<std::size_t>(target)] == net_stamp) {
         continue;  // an earlier path already ran through it
       }
+      const int gx = grid.x_of(target), gy = grid.y_of(target);
+      // Lower bound on the steps from a node to the target (on metal2):
+      // the Manhattan distance plus the vias a layer change still needs.
+      // Admissible and consistent; every step moves f = g + h by 0 or 2.
+      const auto h = [&](const Item& it) {
+        const int dy = std::abs(it.y - gy);
+        const int vias = (it.node & 1) != 0 ? 1 : dy != 0 ? 2 : 0;
+        return std::abs(it.x - gx) + dy + vias;
+      };
       bool reached = false;
       const int halos[] = {options.window_halo_cells,
                            options.window_halo_cells * 4,
                            std::max(grid.nx, grid.ny)};
       for (const int halo : halos) {
         const Window w = window_at(halo);
-        ++epoch;
-        queue.clear();
-        for (const int s : tree_nodes) {
-          if (!w.contains(grid.x_of(s), grid.y_of(s))) continue;
-          if (visited[static_cast<std::size_t>(s)] == epoch) continue;
-          visited[static_cast<std::size_t>(s)] = epoch;
-          queue.push_back(s);
+        const std::uint32_t tag = next_epoch() << kEpochShift;
+        for (auto& bucket : ring) bucket.clear();
+        seeds.clear();
+        for (const Item& s : tree_nodes) {
+          if (!w.contains(s.x, s.y)) continue;
+          state[static_cast<std::size_t>(s.node)] = tag;  // g = 0, open
+          seeds.emplace_back(h(s), s);
         }
-        const auto try_step = [&](int from, int dx, int dy, int to_layer,
-                                  std::uint8_t code) {
-          const int x = grid.x_of(from) + dx;
-          const int y = grid.y_of(from) + dy;
-          if (!w.contains(x, y)) return;
-          const int n = grid.idx(x, y, to_layer);
-          if (visited[static_cast<std::size_t>(n)] == epoch) return;
-          const auto o = occ[static_cast<std::size_t>(n)];
-          if (o != 0 && o != net + 1) return;
-          visited[static_cast<std::size_t>(n)] = epoch;
-          came[static_cast<std::size_t>(n)] = code;
-          queue.push_back(n);
+        std::sort(seeds.begin(), seeds.end(),
+                  [](const auto& a, const auto& b) {
+                    return a.first > b.first;
+                  });
+
+        // A* in f order from the in-window tree to the target, closing
+        // every node with f <= D (the target's distance): that closes every
+        // node of every shortest path, each with its exact g. Open nodes
+        // span f..f+2, so a ring of four buckets holds them; seeds enter
+        // when f reaches theirs.
+        for (int f = seeds.empty() ? 0 : seeds.back().first;; ++f) {
+          while (!seeds.empty() && seeds.back().first == f) {
+            ring[f & 3].push_back(seeds.back().second);
+            seeds.pop_back();
+          }
+          auto& bucket = ring[f & 3];
+          while (!bucket.empty()) {
+            const Item it = bucket.back();
+            bucket.pop_back();
+            auto& word = state[static_cast<std::size_t>(it.node)];
+            if ((word & kClosed) != 0) continue;  // superseded entry
+            word |= kClosed;
+            reached |= it.node == target;
+            const int g1 = f - h(it) + 1;
+            for_each_step(w, it, [&](int n, int x, int y, std::uint8_t) {
+              const auto o = occ[static_cast<std::size_t>(n)];
+              if (o != 0 && o != net + 1) return false;
+              auto& next = state[static_cast<std::size_t>(n)];
+              // An open node's tentative g is within 2 of g1, so g1 improves
+              // it exactly when (g1 - g) mod 8 is 6 or 7.
+              if (seen(n) &&
+                  ((next & kClosed) != 0 ||
+                   ((static_cast<std::uint32_t>(g1) - next) & kGMask) < 6)) {
+                return false;
+              }
+              next = tag | (static_cast<std::uint32_t>(g1) & kGMask);
+              const Item item{n, x, y};
+              ring[(g1 + h(item)) & 3].push_back(item);
+              return false;
+            });
+          }
+          if (reached) break;
+          if (ring[(f + 1) & 3].empty() && ring[(f + 2) & 3].empty()) {
+            if (seeds.empty()) break;  // the window is exhausted
+            f = seeds.back().first - 1;
+          }
+        }
+        if (!reached) continue;
+
+        // Mark the shortest-path DAG back from the target: a closed
+        // neighbour one step nearer the tree lies on a shortest path.
+        const auto g_of = [&](int n) {
+          return state[static_cast<std::size_t>(n)] & kGMask;
         };
-        for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
-          const int n = queue[head];
-          if (n == target) {
-            reached = true;
-            break;
-          }
-          if (grid.layer_of(n) == 0) {
-            try_step(n, 1, 0, 0, kFromNegX);
-            try_step(n, -1, 0, 0, kFromPosX);
-            try_step(n, 0, 0, 1, kFromVia);
-          } else {
-            try_step(n, 0, 1, 1, kFromNegY);
-            try_step(n, 0, -1, 1, kFromPosY);
-            try_step(n, 0, 0, 0, kFromVia);
-          }
+        const auto on_dag = [&](int n) {
+          return seen(n) && (state[static_cast<std::size_t>(n)] & kOnDag);
+        };
+        state[static_cast<std::size_t>(target)] |= kOnDag;
+        pending.assign(1, Item{target, gx, gy});
+        while (!pending.empty()) {
+          const Item v = pending.back();
+          pending.pop_back();
+          const std::uint32_t g_prev = (g_of(v.node) - 1) & kGMask;
+          for_each_step(w, v, [&](int n, int x, int y, std::uint8_t) {
+            auto& word = state[static_cast<std::size_t>(n)];
+            if (seen(n) && (word & (kClosed | kOnDag)) == kClosed &&
+                (word & kGMask) == g_prev) {
+              word |= kOnDag;
+              pending.push_back(Item{n, x, y});
+            }
+            return false;
+          });
         }
-        if (reached) break;
+        // The tie-break contract (router.hpp) picks the lexicographically
+        // smallest shortest path under (seed position, neighbour slots):
+        // walk the DAG forward from the first seed on it (tree nodes outside
+        // the window were not searched), taking the first slot that stays
+        // on it, and leave that path in came[] for the walk back.
+        Item at = *std::find_if(tree_nodes.begin(), tree_nodes.end(),
+                                [&](const Item& s) { return on_dag(s.node); });
+        while (at.node != target) {
+          const std::uint32_t g_next = (g_of(at.node) + 1) & kGMask;
+          for_each_step(w, at, [&](int n, int x, int y, std::uint8_t code) {
+            if (!on_dag(n) || g_of(n) != g_next) return false;
+            came[static_cast<std::size_t>(n)] = code;
+            at = Item{n, x, y};
+            return true;
+          });
+        }
+        break;
       }
       if (!reached) {
         if (!best_effort) return target;
@@ -464,7 +583,7 @@ RoutingResult route(const flow::GateNetlist& netlist,
         if (!hard[static_cast<std::size_t>(n)]) {
           claims[static_cast<std::size_t>(net)].push_back(n);
         }
-        tree_nodes.push_back(n);
+        tree_nodes.push_back(Item{n, x, y});
         n = prev;
       }
     }
@@ -517,39 +636,29 @@ RoutingResult route(const flow::GateNetlist& netlist,
   // never reserved terminals. Empty means even ripping cannot connect.
   const auto find_blockers = [&](int net, int source, int target) {
     std::vector<int> blockers;
-    ++epoch;
-    queue.clear();
-    queue.push_back(source);
-    visited[static_cast<std::size_t>(source)] = epoch;
-    const auto try_step = [&](int from, int dx, int dy, int to_layer,
-                              std::uint8_t code) {
-      const int x = grid.x_of(from) + dx;
-      const int y = grid.y_of(from) + dy;
-      if (x < 0 || x >= grid.nx || y < 0 || y >= grid.ny) return;
-      const int n = grid.idx(x, y, to_layer);
-      if (visited[static_cast<std::size_t>(n)] == epoch) return;
-      const auto o = occ[static_cast<std::size_t>(n)];
-      if (o != 0 && o != net + 1 && hard[static_cast<std::size_t>(n)]) return;
-      visited[static_cast<std::size_t>(n)] = epoch;
-      came[static_cast<std::size_t>(n)] = code;
-      queue.push_back(n);
-    };
+    next_epoch();
+    pending.clear();
+    pending.push_back(Item{source, grid.x_of(source), grid.y_of(source)});
+    state[static_cast<std::size_t>(source)] = epoch << kEpochShift;
     bool reached = false;
-    for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
-      const int n = queue[head];
-      if (n == target) {
+    for (std::size_t head = 0; head < pending.size() && !reached; ++head) {
+      const Item it = pending[head];
+      if (it.node == target) {
         reached = true;
         break;
       }
-      if (grid.layer_of(n) == 0) {
-        try_step(n, 1, 0, 0, kFromNegX);
-        try_step(n, -1, 0, 0, kFromPosX);
-        try_step(n, 0, 0, 1, kFromVia);
-      } else {
-        try_step(n, 0, 1, 1, kFromNegY);
-        try_step(n, 0, -1, 1, kFromPosY);
-        try_step(n, 0, 0, 0, kFromVia);
-      }
+      for_each_step(full_grid, it, [&](int n, int x, int y,
+                                       std::uint8_t code) {
+        if (seen(n)) return false;
+        const auto o = occ[static_cast<std::size_t>(n)];
+        if (o != 0 && o != net + 1 && hard[static_cast<std::size_t>(n)]) {
+          return false;
+        }
+        state[static_cast<std::size_t>(n)] = epoch << kEpochShift;
+        came[static_cast<std::size_t>(n)] = code;
+        pending.push_back(Item{n, x, y});
+        return false;
+      });
     }
     if (!reached) return blockers;
     for (int n = target; n != source;) {
@@ -561,14 +670,12 @@ RoutingResult route(const flow::GateNetlist& netlist,
           blockers.push_back(owner);
         }
       }
-      const int x = grid.x_of(n), y = grid.y_of(n);
-      const int layer = grid.layer_of(n);
       switch (came[static_cast<std::size_t>(n)]) {
-        case kFromNegX: n = grid.idx(x - 1, y, layer); break;
-        case kFromPosX: n = grid.idx(x + 1, y, layer); break;
-        case kFromNegY: n = grid.idx(x, y - 1, layer); break;
-        case kFromPosY: n = grid.idx(x, y + 1, layer); break;
-        case kFromVia:  n = grid.idx(x, y, 1 - layer); break;
+        case kFromNegX: n -= 2; break;
+        case kFromPosX: n += 2; break;
+        case kFromNegY: n -= row; break;
+        case kFromPosY: n += row; break;
+        case kFromVia:  n ^= 1; break;
       }
     }
     return blockers;

@@ -9,13 +9,23 @@
 //
 // Each net is routed as a Steiner-ish tree: terminals (the driver's output
 // location and every sink's input-pin location, snapped to grid nodes) are
-// joined one at a time by a multi-source BFS from the net's growing tree.
-// Search windows escalate from the terminal bounding box plus a halo to the
+// joined one at a time to the net's growing tree. Search windows escalate
+// from the terminal bounding box plus a halo to 4x that halo and then the
 // full grid, so connectivity only fails when the fabric is physically
-// exhausted. Everything is deterministic: nets route in ascending net-id
-// order, terminals join in driver-then-canonical-fanout order, and the BFS
-// expands a FIFO with a fixed neighbor order — the same placement always
-// produces byte-identical RoutingResults.
+// exhausted; a net walled in even then rips up its blockers and retries.
+//
+// Everything is deterministic, and the tie-break is a contract:
+//   * nets route shortest-first by terminal half-perimeter, ties in
+//     ascending net id (results are still reported in net-id order);
+//   * terminals join in driver-then-canonical-fanout order;
+//   * each join takes the lexicographically smallest shortest path from
+//     the tree to the terminal, keyed by (the seed's position among the
+//     in-window tree nodes, then the sequence of neighbour slots). The
+//     slot order is +x, -x, via on metal2 and +y, -y, via on metal3.
+// That is the path a FIFO breadth-first search from the tree returns; the
+// router finds it with a goal-directed search instead of flooding the
+// window. The same placement always produces byte-identical
+// RoutingResults.
 #pragma once
 
 #include <vector>

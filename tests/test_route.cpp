@@ -106,6 +106,53 @@ TEST(RouteTier, OracleAcceptsFuzzedPlacementsOnBothSchemes) {
   }
 }
 
+// Pins the router's exact output. The search must return the same
+// lexicographically smallest shortest path the reference FIFO BFS returned,
+// so these digests were recorded from that BFS and any change in tie-breaking,
+// window escalation or rip-up shows up here. The designs cover full-grid
+// searches (CLA), rip-up (random_dag(300, 12, 9) rips twice, one fuzzed
+// placement ten times) and both placement schemes.
+TEST(RouteTier, RoutingMatchesParentDigests) {
+  const auto& rules = cnfet_rules();
+  const auto digest = [&](const gen::Generated& design,
+                          const flow::PlaceOptions& popt = {}) {
+    const auto placement = flow::place(design.netlist, popt);
+    return util::json::fnv1a64_hex(
+        routing_bytes(route::route(design.netlist, placement, rules)));
+  };
+  const auto generated = [](gen::Family family, int width) {
+    gen::GenOptions options;
+    options.family = family;
+    options.width = width;
+    return gen::generate(cnfet_library(), options);
+  };
+  EXPECT_EQ(digest(generated(gen::Family::kCarryLookaheadAdder, 32)),
+            "3fb6427b44c25e7f");
+  EXPECT_EQ(digest(generated(gen::Family::kArrayMultiplier, 8)),
+            "3c86095e20a788f8");
+  EXPECT_EQ(digest(random_dag(120, 10, 11)), "cc5667ec182101a7");
+  EXPECT_EQ(digest(random_dag(300, 12, 9)), "382e2e2d4b81fe85");
+
+  // The placements of OracleAcceptsFuzzedPlacementsOnBothSchemes.
+  const char* const fuzzed[2][4] = {
+      {"5981140faf68e982", "ad69b1ca51d742f4", "d2c7094da668bce3",
+       "f520d8b9989f751b"},
+      {"0df66dd156815b93", "d5e1b62c9adfe957", "8bfd8b074aae4bdc",
+       "3b8b88a0ca0f5199"}};
+  for (const auto scheme :
+       {layout::CellScheme::kScheme1, layout::CellScheme::kScheme2}) {
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+      flow::PlaceOptions popt;
+      popt.scheme = scheme;
+      popt.aspect_rows = seed % 2 == 0 ? 0.5 : 2.0;
+      EXPECT_EQ(
+          digest(random_dag(60 + 30 * static_cast<int>(seed), 8, seed), popt),
+          fuzzed[scheme == layout::CellScheme::kScheme1 ? 0 : 1][seed - 1])
+          << "scheme " << static_cast<int>(scheme) << " seed " << seed;
+    }
+  }
+}
+
 // The oracle is only trustworthy if it actually rejects broken routings.
 TEST(RouteTier, OracleFlagsInjectedOpensAndShorts) {
   auto design = random_dag(80, 8, 7);
