@@ -1,6 +1,7 @@
 #include "api/serialize.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -257,9 +258,26 @@ json::Value nldm_to_json(const liberty::NldmTable& table) {
   return v;
 }
 
+/// An NLDM axis must be non-empty, finite and strictly ascending: the
+/// lookup kernel brackets keys by binary search on it.
+std::vector<double> grid_from_json(const json::Value& v, const char* axis) {
+  auto grid = doubles_from_json(v);
+  if (grid.empty()) {
+    throw util::Error(std::string("NLDM ") + axis + " grid is empty");
+  }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (!std::isfinite(grid[i]) || (i > 0 && !(grid[i - 1] < grid[i]))) {
+      throw util::Error(std::string("NLDM ") + axis +
+                        " grid is not finite and strictly ascending at " +
+                        std::to_string(i));
+    }
+  }
+  return grid;
+}
+
 liberty::NldmTable nldm_from_json(const json::Value& v) {
-  liberty::NldmTable table(doubles_from_json(v.at("slews")),
-                           doubles_from_json(v.at("loads")));
+  liberty::NldmTable table(grid_from_json(v.at("slews"), "slew"),
+                           grid_from_json(v.at("loads"), "load"));
   const auto& values = v.at("values");
   const std::size_t n_slews = table.slews().size();
   const std::size_t n_loads = table.loads().size();
@@ -275,6 +293,46 @@ liberty::NldmTable nldm_from_json(const json::Value& v) {
     }
   }
   return table;
+}
+
+/// Refuses a cell that breaks the evaluation kernel's preconditions (see
+/// liberty::LibCell): one pin cap per input, arcs in the canonical
+/// input-major (falling, rising) layout, and one grid shared by every
+/// table.
+void check_cell_layout(const liberty::LibCell& cell) {
+  const auto pins = static_cast<std::size_t>(cell.built.netlist.num_inputs());
+  const std::string where = "cell " + cell.name + ": ";
+  if (cell.input_cap.size() != pins) {
+    throw util::Error(where + std::to_string(cell.input_cap.size()) +
+                      " input caps for " + std::to_string(pins) + " pins");
+  }
+  if (cell.arcs.size() != 2 * pins) {
+    throw util::Error(where + std::to_string(cell.arcs.size()) +
+                      " timing arcs for " + std::to_string(pins) +
+                      " pins (expected one per pin and direction)");
+  }
+  const auto& grid = cell.arcs.front().delay;
+  for (std::size_t k = 0; k < cell.arcs.size(); ++k) {
+    const auto& arc = cell.arcs[k];
+    const auto direction = [](bool rising) {
+      return rising ? std::string("rising") : std::string("falling");
+    };
+    if (arc.input != static_cast<int>(k / 2) ||
+        arc.out_rising != (k % 2 == 1)) {
+      throw util::Error(where + "arc " + std::to_string(k) + " is (input " +
+                        std::to_string(arc.input) + ", " +
+                        direction(arc.out_rising) +
+                        ") where the canonical layout has (input " +
+                        std::to_string(k / 2) + ", " + direction(k % 2 == 1) +
+                        ")");
+    }
+    for (const auto* table : {&arc.delay, &arc.out_slew, &arc.energy}) {
+      if (table->slews() != grid.slews() || table->loads() != grid.loads()) {
+        throw util::Error(where + "arc " + std::to_string(k) +
+                          " does not share the cell's slew x load grid");
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -356,6 +414,7 @@ liberty::Library library_from_json(const json::Value& v) {
       arc.energy = nldm_from_json(a.at("energy"));
       cell.arcs.push_back(std::move(arc));
     }
+    check_cell_layout(cell);
     library.add(std::move(cell));
   }
   return library;

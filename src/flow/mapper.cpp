@@ -98,13 +98,15 @@ EstTiming through_cell(const liberty::LibCell* cell,
   EstTiming out;
   out.arrival = 0.0;
   out.slew = fanin.empty() ? 0.0 : fanin.front().slew;
+  const auto load_at = cell->load_bracket(load);
   for (std::size_t pin = 0; pin < fanin.size(); ++pin) {
+    const auto slew_at = cell->slew_bracket(fanin[pin].slew);
     for (const bool rising : {true, false}) {
       const auto& arc = cell->arc(static_cast<int>(pin), rising);
-      const double d = arc.delay.lookup(fanin[pin].slew, load);
+      const double d = arc.delay.lookup(slew_at, load_at);
       if (fanin[pin].arrival + d > out.arrival) {
         out.arrival = fanin[pin].arrival + d;
-        out.slew = arc.out_slew.lookup(fanin[pin].slew, load);
+        out.slew = arc.out_slew.lookup(slew_at, load_at);
       }
     }
   }

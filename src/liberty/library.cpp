@@ -32,8 +32,6 @@ double NldmTable::at(std::size_t si, std::size_t li) const {
 
 namespace {
 
-/// Index of the lower grid neighbour plus the interpolation fraction.
-/// Binary search: STA interpolates per gate per arc, so this is hot.
 /// Monotone stamp for each characterize_cell call: a worker's
 /// thread-local ArcScratch compares it against the epoch it last bound
 /// with and skips the rebuild when they match, so binding happens once
@@ -44,9 +42,9 @@ std::uint64_t next_characterize_epoch() {
 }
 
 /// Index of the lower grid neighbour plus the interpolation fraction.
-/// Binary search: STA interpolates per gate per arc, so this is hot.
-std::pair<std::size_t, double> bracket(const std::vector<double>& grid,
-                                       double x) {
+/// Binary search; callers bracket once per key and reuse the result.
+NldmTable::Bracket bracket(const std::vector<double>& grid, double x) {
+  if (grid.size() == 1) return {0, 0.0};
   if (x <= grid.front()) return {0, 0.0};
   if (x >= grid.back()) return {grid.size() - 2, 1.0};
   const auto it = std::upper_bound(grid.begin(), grid.end(), x);
@@ -59,35 +57,25 @@ std::pair<std::size_t, double> bracket(const std::vector<double>& grid,
 
 }  // namespace
 
-double NldmTable::lookup(double slew, double load) const {
-  if (slews_.size() == 1 && loads_.size() == 1) return at(0, 0);
-  const auto [si, sf] = slews_.size() == 1
-                            ? std::pair<std::size_t, double>{0, 0.0}
-                            : bracket(slews_, slew);
-  const auto [li, lf] = loads_.size() == 1
-                            ? std::pair<std::size_t, double>{0, 0.0}
-                            : bracket(loads_, load);
-  const std::size_t si1 = std::min(si + 1, slews_.size() - 1);
-  const std::size_t li1 = std::min(li + 1, loads_.size() - 1);
-  const double v00 = at(si, li);
-  const double v01 = at(si, li1);
-  const double v10 = at(si1, li);
-  const double v11 = at(si1, li1);
-  return v00 * (1 - sf) * (1 - lf) + v01 * (1 - sf) * lf +
-         v10 * sf * (1 - lf) + v11 * sf * lf;
+NldmTable::Bracket NldmTable::slew_bracket(double slew) const {
+  return bracket(slews_, slew);
 }
 
-const TimingArc& LibCell::arc(int input, bool out_rising) const {
-  for (const auto& a : arcs) {
-    if (a.input == input && a.out_rising == out_rising) return a;
-  }
-  throw util::Error("no such timing arc in " + name);
+NldmTable::Bracket NldmTable::load_bracket(double load) const {
+  return bracket(loads_, load);
+}
+
+void LibCell::throw_no_arc(int input) const {
+  throw util::Error("no timing arc for input " + std::to_string(input) +
+                    " in " + name);
 }
 
 double LibCell::worst_delay(double slew, double load) const {
+  const auto sb = slew_bracket(slew);
+  const auto lb = load_bracket(load);
   double worst = 0.0;
   for (const auto& a : arcs) {
-    worst = std::max(worst, a.delay.lookup(slew, load));
+    worst = std::max(worst, a.delay.lookup(sb, lb));
   }
   return worst;
 }

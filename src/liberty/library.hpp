@@ -9,6 +9,7 @@
 // case study 1.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -24,14 +25,50 @@ namespace cnfet::liberty {
 /// 2-D lookup table indexed by input slew (s) and output load (F).
 class NldmTable {
  public:
+  /// A key's place on one grid axis: the lower grid neighbour and the
+  /// interpolation fraction towards the next one. A bracket depends only
+  /// on the axis values, so one bracket serves every table on that grid.
+  struct Bracket {
+    std::size_t index = 0;
+    double frac = 0.0;
+  };
+
   NldmTable() = default;
   NldmTable(std::vector<double> slews, std::vector<double> loads);
 
   void set(std::size_t si, std::size_t li, double value);
   [[nodiscard]] double at(std::size_t si, std::size_t li) const;
 
+  /// Brackets a key on this table's slew / load axis. Keys outside the
+  /// grid clamp to its edge (flat extrapolation), a 1-point axis always
+  /// brackets to {0, 0}, and a NaN key takes the upper edge.
+  [[nodiscard]] Bracket slew_bracket(double slew) const;
+  [[nodiscard]] Bracket load_bracket(double load) const;
+
+  /// Bilinear interpolation between the four grid neighbours of a
+  /// (slew, load) bracket pair taken on this table's grid (or on any
+  /// table with the identical grid). Inline: the timing graph calls it
+  /// several times per gate evaluation.
+  [[nodiscard]] double lookup(Bracket slew, Bracket load) const {
+    const std::size_t n_loads = loads_.size();
+    if (slews_.size() == 1 && n_loads == 1) return values_[0];
+    const std::size_t si = slew.index;
+    const std::size_t li = load.index;
+    const double sf = slew.frac;
+    const double lf = load.frac;
+    const std::size_t si1 = std::min(si + 1, slews_.size() - 1);
+    const std::size_t li1 = std::min(li + 1, n_loads - 1);
+    const double v00 = values_[si * n_loads + li];
+    const double v01 = values_[si * n_loads + li1];
+    const double v10 = values_[si1 * n_loads + li];
+    const double v11 = values_[si1 * n_loads + li1];
+    return v00 * (1 - sf) * (1 - lf) + v01 * (1 - sf) * lf +
+           v10 * sf * (1 - lf) + v11 * sf * lf;
+  }
   /// Bilinear interpolation with flat extrapolation at the grid edges.
-  [[nodiscard]] double lookup(double slew, double load) const;
+  [[nodiscard]] double lookup(double slew, double load) const {
+    return lookup(slew_bracket(slew), load_bracket(load));
+  }
 
   [[nodiscard]] const std::vector<double>& slews() const { return slews_; }
   [[nodiscard]] const std::vector<double>& loads() const { return loads_; }
@@ -52,6 +89,11 @@ struct TimingArc {
 };
 
 /// A characterized library cell.
+///
+/// The evaluation kernel relies on two layout facts that characterize_cell
+/// produces and api::library_from_json enforces: every table of the cell
+/// sits on one shared slew x load grid, and `arcs` is input-major with
+/// arcs[2*pin] the falling and arcs[2*pin+1] the rising output arc.
 struct LibCell {
   std::string name;
   layout::BuiltCell built;       ///< netlist + layout + function
@@ -60,9 +102,25 @@ struct LibCell {
   double area_lambda2 = 0.0;     ///< scheme-1 core area
   std::vector<TimingArc> arcs;
 
-  [[nodiscard]] const TimingArc& arc(int input, bool out_rising) const;
+  /// The arc of `input` with the given output direction, by index.
+  [[nodiscard]] const TimingArc& arc(int input, bool out_rising) const {
+    const auto k = 2 * static_cast<std::size_t>(input) + (out_rising ? 1 : 0);
+    if (input < 0 || k >= arcs.size()) throw_no_arc(input);
+    return arcs[k];
+  }
+  /// Brackets on the cell's shared grid, reusable across all its tables
+  /// (every cell has at least one input, so at least two arcs).
+  [[nodiscard]] NldmTable::Bracket slew_bracket(double slew) const {
+    return arcs.front().delay.slew_bracket(slew);
+  }
+  [[nodiscard]] NldmTable::Bracket load_bracket(double load) const {
+    return arcs.front().delay.load_bracket(load);
+  }
   /// Worst arc delay at a given slew/load (max over inputs & directions).
   [[nodiscard]] double worst_delay(double slew, double load) const;
+
+ private:
+  [[noreturn]] void throw_no_arc(int input) const;
 };
 
 /// Options for characterization.

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "opt/opt.hpp"
@@ -58,6 +59,11 @@ void size_gates(GateNetlist& netlist, sta::TimingGraph& graph,
   std::vector<Candidate> candidates;
   std::vector<double> measured;
   std::vector<int> path;
+  // Each cell's drive family, resolved once per pass on first sight:
+  // drives_of builds and hashes the base name and sorts a fresh vector.
+  std::unordered_map<const liberty::LibCell*,
+                     std::vector<liberty::DriveOption>>
+      families;
 
   for (int round = 0; round < options.max_sizing_rounds; ++round) {
     const double worst = graph.worst_arrival();
@@ -70,9 +76,12 @@ void size_gates(GateNetlist& netlist, sta::TimingGraph& graph,
     for (const int g : path) {
       const liberty::LibCell* original =
           netlist.gates()[static_cast<std::size_t>(g)].cell;
-      const auto family =
-          library.drives_of(liberty::Library::base_name(original->name));
-      for (const auto& option : family) {
+      auto [family, fresh] = families.try_emplace(original);
+      if (fresh) {
+        family->second =
+            library.drives_of(liberty::Library::base_name(original->name));
+      }
+      for (const auto& option : family->second) {
         if (option.cell == original) continue;
         if (area - original->area_lambda2 + option.cell->area_lambda2 >
             area_budget) {

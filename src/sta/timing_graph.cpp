@@ -116,25 +116,35 @@ void TimingGraph::recompute_load(int net) {
 
 void TimingGraph::eval_gate(int gate_index) {
   const Gate& gate = netlist_->gates()[static_cast<std::size_t>(gate_index)];
+  const liberty::LibCell& cell = *gate.cell;
   const double out_load = load_[static_cast<std::size_t>(gate.output)];
+  // Every table of the cell shares one grid: the load is bracketed once
+  // per gate and each input slew once per pin, then all of the gate's
+  // lookups reuse those brackets.
+  const auto load_at = cell.load_bracket(out_load);
   double worst = 0.0;
   int crit = -1;
   bool crit_rising = false;
+  liberty::NldmTable::Bracket crit_slew_at;
   for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
     const auto in = static_cast<std::size_t>(gate.inputs[pin]);
+    const auto slew_at = cell.slew_bracket(slew_[in]);
     // The extracted wire delay into this pin adds to every arc through it
     // (and to the cached worst-direction arc delay, so the backward
     // required-time pass sees the same wire-loaded graph).
     const double w = wires_.pin_delay_of(gate_index, static_cast<int>(pin));
     double pin_delay = 0.0;
+    // Rising before falling: on an exact tie the first visited arc stays
+    // critical (strict >), which fixes crit_pin_ and the critical path.
     for (const bool rising : {true, false}) {
-      const auto& arc = gate.cell->arc(static_cast<int>(pin), rising);
-      const double d = w + arc.delay.lookup(slew_[in], out_load);
+      const auto& arc = cell.arc(static_cast<int>(pin), rising);
+      const double d = w + arc.delay.lookup(slew_at, load_at);
       pin_delay = std::max(pin_delay, d);
       if (arrival_[in] + d > worst) {
         worst = arrival_[in] + d;
         crit = static_cast<int>(pin);
         crit_rising = rising;
+        crit_slew_at = slew_at;
       }
     }
     arc_delay_[static_cast<std::size_t>(pin_offset_[static_cast<std::size_t>(
@@ -145,10 +155,8 @@ void TimingGraph::eval_gate(int gate_index) {
   // strictly positive, so some arc always wins).
   double worst_slew = options_.input_slew;
   if (crit >= 0) {
-    const auto crit_in =
-        static_cast<std::size_t>(gate.inputs[static_cast<std::size_t>(crit)]);
-    worst_slew = gate.cell->arc(crit, crit_rising)
-                     .out_slew.lookup(slew_[crit_in], out_load);
+    worst_slew =
+        cell.arc(crit, crit_rising).out_slew.lookup(crit_slew_at, load_at);
   } else {
     crit = 0;
   }
@@ -415,14 +423,15 @@ double TimingGraph::energy_per_cycle() {
   for (std::size_t g = 0; g < gates.size(); ++g) {
     if (!energy_stale_[g]) continue;
     const Gate& gate = gates[g];
+    const liberty::LibCell& cell = *gate.cell;
     const int crit = crit_pin_[g];
     const auto crit_in =
         static_cast<std::size_t>(gate.inputs[static_cast<std::size_t>(crit)]);
-    const double out_load = load_[static_cast<std::size_t>(gate.output)];
-    const auto& e_r = gate.cell->arc(crit, true).energy;
-    const auto& e_f = gate.cell->arc(crit, false).energy;
-    energy_[g] = 0.5 * (e_r.lookup(slew_[crit_in], out_load) +
-                        e_f.lookup(slew_[crit_in], out_load));
+    const auto slew_at = cell.slew_bracket(slew_[crit_in]);
+    const auto load_at =
+        cell.load_bracket(load_[static_cast<std::size_t>(gate.output)]);
+    energy_[g] = 0.5 * (cell.arc(crit, true).energy.lookup(slew_at, load_at) +
+                        cell.arc(crit, false).energy.lookup(slew_at, load_at));
     energy_stale_[g] = 0;
   }
   double total = 0.0;

@@ -3,6 +3,10 @@
 // characterized once for the whole suite (it runs many transient sims).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "core/design_kit.hpp"
@@ -51,6 +55,124 @@ TEST(Liberty, NldmInterpolatesBetweenCorners) {
   const double hi = arc.delay.at(1, 1);
   EXPECT_GE(mid, std::min(lo, hi) * 0.999);
   EXPECT_LE(mid, std::max(lo, hi) * 1.001);
+}
+
+// --- the bracket-once NLDM kernel against an independent reference -------
+
+/// Linear-scan bracket: the first grid interval whose upper end exceeds
+/// the key; keys at or below the grid clamp to the bottom, keys at or
+/// above it (and NaN, which compares false everywhere) to the top.
+liberty::NldmTable::Bracket reference_bracket(const std::vector<double>& grid,
+                                              double x) {
+  if (grid.size() == 1 || x <= grid.front()) return {0, 0.0};
+  for (std::size_t i = 0; i + 1 < grid.size(); ++i) {
+    if (x < grid[i + 1]) return {i, (x - grid[i]) / (grid[i + 1] - grid[i])};
+  }
+  return {grid.size() - 2, 1.0};
+}
+
+double reference_lookup(const liberty::NldmTable& table, double slew,
+                        double load) {
+  const auto& slews = table.slews();
+  const auto& loads = table.loads();
+  if (slews.size() == 1 && loads.size() == 1) return table.at(0, 0);
+  const auto [si, sf] = reference_bracket(slews, slew);
+  const auto [li, lf] = reference_bracket(loads, load);
+  const std::size_t si1 = std::min(si + 1, slews.size() - 1);
+  const std::size_t li1 = std::min(li + 1, loads.size() - 1);
+  return table.at(si, li) * (1 - sf) * (1 - lf) +
+         table.at(si, li1) * (1 - sf) * lf +
+         table.at(si1, li) * sf * (1 - lf) + table.at(si1, li1) * sf * lf;
+}
+
+/// Keys that probe one axis: every grid point, every midpoint, both
+/// extrapolation sides and NaN.
+std::vector<double> probe_keys(const std::vector<double>& grid) {
+  std::vector<double> keys{grid.front() * 0.5 - 1.0, grid.back() * 2.0 + 1.0,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    keys.push_back(grid[i]);
+    if (i + 1 < grid.size()) keys.push_back((grid[i] + grid[i + 1]) / 2);
+  }
+  return keys;
+}
+
+/// Every (slew, load) probe, through both lookup forms, must equal the
+/// reference bit for bit.
+void expect_kernel_matches_reference(const liberty::NldmTable& table) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const double slew : probe_keys(table.slews())) {
+    for (const double load : probe_keys(table.loads())) {
+      const double want = reference_lookup(table, slew, load);
+      ASSERT_FALSE(std::isnan(want)) << slew << " " << load;
+      const auto sb = table.slew_bracket(slew);
+      const auto lb = table.load_bracket(load);
+      EXPECT_EQ(bits(table.lookup(sb, lb)), bits(want))
+          << "slew " << slew << " load " << load;
+      EXPECT_EQ(bits(table.lookup(slew, load)), bits(want))
+          << "slew " << slew << " load " << load;
+    }
+  }
+}
+
+TEST(Liberty, BracketOnceKernelIsBitIdenticalToReference) {
+  // Synthetic tables: uneven grids with values that do not interpolate
+  // exactly, plus 1-point axes in each position.
+  const auto filled = [](std::vector<double> slews,
+                          std::vector<double> loads) {
+    liberty::NldmTable table(std::move(slews), std::move(loads));
+    for (std::size_t si = 0; si < table.slews().size(); ++si) {
+      for (std::size_t li = 0; li < table.loads().size(); ++li) {
+        const auto s = static_cast<double>(si);
+        const auto l = static_cast<double>(li);
+        table.set(si, li, 1.0 / 3.0 + 0.7 * s * s + 0.11 * l + 1e-3 * s * l);
+      }
+    }
+    return table;
+  };
+  expect_kernel_matches_reference(
+      filled({5e-12, 20e-12, 60e-12}, {0.5e-15, 2e-15, 6e-15, 14e-15}));
+  expect_kernel_matches_reference(filled({1.0, 1.5, 4.0, 9.0}, {2.0, 3.0}));
+  expect_kernel_matches_reference(filled({7e-12}, {1e-15, 3e-15, 9e-15}));
+  expect_kernel_matches_reference(filled({5e-12, 40e-12}, {2e-15}));
+  expect_kernel_matches_reference(filled({5e-12}, {2e-15}));
+
+  // Every characterized table, bracketed on its cell's shared grid the way
+  // the timing graph does.
+  for (const auto& cell : cnfet_library().cells()) {
+    for (const auto& arc : cell.arcs) {
+      for (const auto* table : {&arc.delay, &arc.out_slew, &arc.energy}) {
+        expect_kernel_matches_reference(*table);
+        for (const double slew : probe_keys(table->slews())) {
+          for (const double load : probe_keys(table->loads())) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(table->lookup(
+                          cell.slew_bracket(slew), cell.load_bracket(load))),
+                      std::bit_cast<std::uint64_t>(
+                          reference_lookup(*table, slew, load)))
+                << cell.name;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Liberty, ArcsAreReachedByIndexInCanonicalLayout) {
+  for (const auto& cell : cnfet_library().cells()) {
+    ASSERT_EQ(cell.arcs.size(), 2 * cell.input_cap.size()) << cell.name;
+    for (int pin = 0; pin < static_cast<int>(cell.input_cap.size()); ++pin) {
+      for (const bool rising : {false, true}) {
+        const auto& arc = cell.arc(pin, rising);
+        EXPECT_EQ(&arc, &cell.arcs[2 * static_cast<std::size_t>(pin) +
+                                   (rising ? 1 : 0)]);
+        EXPECT_EQ(arc.input, pin) << cell.name;
+        EXPECT_EQ(arc.out_rising, rising) << cell.name;
+      }
+    }
+    EXPECT_THROW((void)cell.arc(-1, true), util::Error);
+    EXPECT_THROW((void)cell.arc(static_cast<int>(cell.input_cap.size()), false),
+                 util::Error);
+  }
 }
 
 TEST(Liberty, TextExportMentionsEveryCell) {

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -416,6 +417,182 @@ TEST(LibraryDiskCache, CorruptFileFallsBackToCharacterizationWithWarning) {
   for (const auto& d : diags.items()) {
     warned = warned || (d.severity == util::Severity::kWarning &&
                         d.message.find("falling back") != std::string::npos);
+  }
+  EXPECT_TRUE(warned) << diags.to_string();
+}
+
+// --- the loader enforces the NLDM kernel's preconditions -----------------
+
+/// `arr` with element `index` replaced by `item`.
+json::Value with_item(const json::Value& arr, std::size_t index,
+                      json::Value item) {
+  json::Value out = json::Value::array();
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    out.push_back(i == index ? item : arr.at(i));
+  }
+  return out;
+}
+
+/// `payload` with the named cell's JSON passed through `edit`.
+json::Value with_cell(const json::Value& payload, const std::string& name,
+                      const std::function<void(json::Value&)>& edit) {
+  const auto& cells = payload.at("cells");
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells.at(i).get_string("name") != name) continue;
+    json::Value cell = cells.at(i);
+    edit(cell);
+    json::Value out = payload;
+    out.set("cells", with_item(cells, i, std::move(cell)));
+    return out;
+  }
+  ADD_FAILURE() << "no cell " << name;
+  return payload;
+}
+
+/// `cell` with arc `k`'s JSON passed through `edit`.
+void edit_arc(json::Value& cell, std::size_t k,
+              const std::function<void(json::Value&)>& edit) {
+  json::Value arc = cell.at("arcs").at(k);
+  edit(arc);
+  cell.set("arcs", with_item(cell.at("arcs"), k, std::move(arc)));
+}
+
+/// `arc` with one axis of one of its tables replaced.
+void set_axis(json::Value& arc, const char* table, const char* axis,
+              std::vector<double> values) {
+  json::Value t = arc.at(table);
+  json::Value grid = json::Value::array();
+  for (const double v : values) grid.push_back(v);
+  t.set(axis, std::move(grid));
+  arc.set(table, std::move(t));
+}
+
+/// Writes `payload` as a library artifact with a valid checksum, so the
+/// loader gets past the envelope and must judge the content itself.
+void write_library_payload(const std::string& path,
+                           const json::Value& envelope_template,
+                           const json::Value& payload) {
+  json::Value envelope = envelope_template;
+  envelope.set("payload", payload);
+  envelope.set("checksum", json::fnv1a64_hex(json::dump(payload)));
+  spit(path, json::dump(envelope, 2));
+}
+
+struct LibraryMutation {
+  const char* what;
+  const char* expected_error;
+  std::function<json::Value(const json::Value&)> apply;
+};
+
+std::vector<LibraryMutation> library_mutations() {
+  const auto cell = [](const char* name,
+                       std::function<void(json::Value&)> edit) {
+    return [name, edit](const json::Value& payload) {
+      return with_cell(payload, name, edit);
+    };
+  };
+  const auto arc = [&](const char* name, std::size_t k,
+                       std::function<void(json::Value&)> edit) {
+    return cell(name, [k, edit](json::Value& c) { edit_arc(c, k, edit); });
+  };
+  return {
+      {"one table on its own slew grid", "does not share",
+       arc("NAND2_1X", 3,
+           [](json::Value& a) {
+             set_axis(a, "out_slew", "slews", {5e-12, 25e-12, 60e-12});
+           })},
+      {"one table on its own load grid", "does not share",
+       arc("INV_1X", 0,
+           [](json::Value& a) {
+             set_axis(a, "energy", "loads", {0.5e-15, 2e-15, 6e-15, 15e-15});
+           })},
+      {"descending load grid", "strictly ascending",
+       arc("INV_2X", 1,
+           [](json::Value& a) {
+             set_axis(a, "delay", "loads", {0.5e-15, 6e-15, 2e-15, 14e-15});
+           })},
+      {"repeated slew point", "strictly ascending",
+       arc("NOR2_1X", 0,
+           [](json::Value& a) {
+             set_axis(a, "delay", "slews", {5e-12, 20e-12, 20e-12});
+           })},
+      {"empty slew grid", "grid is empty",
+       arc("INV_1X", 1,
+           [](json::Value& a) { set_axis(a, "out_slew", "slews", {}); })},
+      {"input out of range", "is (input 7, falling)",
+       arc("NAND2_1X", 2, [](json::Value& a) { a.set("input", 7); })},
+      {"negative input", "is (input -1, falling)",
+       arc("INV_1X", 0, [](json::Value& a) { a.set("input", -1); })},
+      {"directions swapped", "canonical layout has (input 0, falling)",
+       arc("NAND2_1X", 0, [](json::Value& a) { a.set("out_rising", true); })},
+      {"pins swapped", "canonical layout has (input 1, falling)",
+       arc("NAND2_1X", 2, [](json::Value& a) { a.set("input", 0); })},
+      {"arc missing", "timing arcs for",
+       cell("NAND3_1X",
+            [](json::Value& c) {
+              json::Value arcs = json::Value::array();
+              for (std::size_t k = 0; k + 1 < c.at("arcs").size(); ++k) {
+                arcs.push_back(c.at("arcs").at(k));
+              }
+              c.set("arcs", std::move(arcs));
+            })},
+      {"input cap missing", "input caps for",
+       cell("AOI22_1X",
+            [](json::Value& c) {
+              json::Value caps = json::Value::array();
+              caps.push_back(c.at("input_cap").at(std::size_t{0}));
+              c.set("input_cap", std::move(caps));
+            })},
+  };
+}
+
+TEST(LibraryDiskCache, LoaderRefusesCellsTheKernelCannotEvaluate) {
+  const auto library = cnfet_library();
+  const auto dir = temp_dir("library_mutations");
+  const auto path = dir + "/cnfet65.json";
+  ASSERT_TRUE(api::save_library(*library, path).ok());
+  const json::Value envelope = json::parse(slurp(path));
+  const json::Value& payload = envelope.at("payload");
+
+  // The unmutated payload, rewritten the same way, still loads.
+  write_library_payload(path, envelope, payload);
+  ASSERT_TRUE(api::load_library(path).ok());
+
+  for (const auto& mutation : library_mutations()) {
+    write_library_payload(path, envelope, mutation.apply(payload));
+    const auto loaded = api::load_library(path);
+    ASSERT_FALSE(loaded.ok()) << mutation.what;
+    EXPECT_EQ(loaded.error().severity, util::Severity::kError)
+        << mutation.what;
+    EXPECT_NE(loaded.error().message.find(mutation.expected_error),
+              std::string::npos)
+        << mutation.what << ": " << loaded.error().message;
+  }
+}
+
+TEST(LibraryDiskCache, KernelPreconditionRefusalFallsBackWithWarning) {
+  const auto library = cnfet_library();
+  const auto dir = temp_dir("cache_bad_layout");
+  api::LibraryCache cache;
+  cache.set_cache_dir(dir);
+  const auto path = cache.cache_path(layout::Tech::kCnfet65);
+  ASSERT_TRUE(api::save_library(*library, path).ok());
+  const json::Value envelope = json::parse(slurp(path));
+  const auto mutations = library_mutations();
+  write_library_payload(path, envelope,
+                        mutations.front().apply(envelope.at("payload")));
+
+  const auto handle = cache.get(layout::Tech::kCnfet65);
+  ASSERT_TRUE(handle.ok());  // fell back to characterization, no crash
+  expect_library_exact(*library, *handle.value());
+  bool warned = false;
+  const auto diags = cache.diagnostics();
+  for (const auto& d : diags.items()) {
+    warned = warned ||
+             (d.severity == util::Severity::kWarning &&
+              d.message.find("falling back") != std::string::npos &&
+              d.message.find(mutations.front().expected_error) !=
+                  std::string::npos);
   }
   EXPECT_TRUE(warned) << diags.to_string();
 }
