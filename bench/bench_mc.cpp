@@ -3,13 +3,19 @@
 //
 //  * full pipeline — monte_carlo trials/sec at 10k/100k (1 thread) and
 //    1M (hardware threads) on tier-1 cells (NAND3, AOI22), indexed vs
-//    the naive all-pairs reference tracer;
+//    the naive all-pairs reference tracer. Both paths share tube
+//    sampling and the functional check, which relaxes only a trial's
+//    stray edges over the cell's precomputed bit-parallel conduction
+//    fixpoint, so that shared remainder is small. The indexed path
+//    also skips the trig and the trace of every tube whose reach box
+//    misses the bands, which the naive oracle never does; the pipeline
+//    ratio therefore measures the tracer plus that skip;
 //  * tracer stage — warm ns/tube through each tracer over the exact
-//    tube population the model samples, isolating the indexed win from
-//    pipeline costs both tracers share (tube sampling, functional
-//    check). Tier-1 geometries are tiny (2 bands, ~a dozen shapes), so
-//    the all-pairs scan is already cheap there and the honest stage
-//    speedup is a handful of x;
+//    tube population the model samples (cnt::TubeSampler), isolating
+//    the indexed tracer from the skip and the shared costs. Tier-1
+//    geometries are tiny (2 bands, ~a dozen shapes), so the all-pairs
+//    scan is already cheap there and the honest stage speedup is a
+//    handful of x;
 //  * dense geometry — the same tracer A/B on a synthetic 16-band,
 //    1024-shape geometry, where the all-pairs scan pays its O(shapes)
 //    cost and the index's O(log + candidates) query is ≥10x faster.
@@ -30,7 +36,6 @@
 //
 //   $ ./bench_mc              # ~a minute; updates ./BENCH_perf.json
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -75,37 +80,20 @@ bool effects_identical(const std::vector<cnt::StrayEffect>& a,
   return true;
 }
 
-/// Tube population matching cnt::monte_carlo's sampling model (same
-/// distributions; the draws need not be stream-identical — this only
-/// shapes the benchmark population), stored flat: 3 points per tube.
+/// The tube population cnt::monte_carlo samples for this box, stored
+/// flat: 3 points per tube. Every tube is kept, including those the
+/// pipeline would skip, so the tracer A/B sees the full population.
 std::vector<geom::DVec2> sample_tubes(const geom::Rect& box,
                                       const cnt::TubeModel& model,
                                       int count, std::uint64_t seed) {
-  constexpr double kPi = 3.14159265358979323846;
-  const double diag = model.mean_length_lambda * geom::kLambda;
+  const cnt::TubeSampler sampler(model, box);
   std::vector<geom::DVec2> flat;
+  std::vector<geom::DVec2> poly;
   flat.reserve(static_cast<std::size_t>(count) * 3);
   util::Xoshiro256 rng(util::derive_stream(seed, 0));
   for (int i = 0; i < count; ++i) {
-    const geom::DVec2 center{
-        rng.uniform(static_cast<double>(box.lo().x) - diag,
-                    static_cast<double>(box.hi().x) + diag),
-        rng.uniform(static_cast<double>(box.lo().y) - diag,
-                    static_cast<double>(box.hi().y) + diag)};
-    const double angle =
-        rng.uniform() < model.outlier_fraction
-            ? rng.uniform(-kPi / 2, kPi / 2)
-            : rng.normal(0.0, model.angle_sigma_deg * kPi / 180.0);
-    const double len = std::exp(rng.normal(
-                           std::log(model.mean_length_lambda),
-                           model.length_sigma)) *
-                       geom::kLambda;
-    const double bend = rng.normal(0.0, model.bend_sigma_deg * kPi / 180.0);
-    const geom::DVec2 dir1{std::cos(angle), std::sin(angle)};
-    const geom::DVec2 dir2{std::cos(angle + bend), std::sin(angle + bend)};
-    flat.push_back(center - dir1 * (len / 2));
-    flat.push_back(center);
-    flat.push_back(center + dir2 * (len / 2));
+    sampler.draw(rng).polyline(poly);
+    flat.insert(flat.end(), poly.begin(), poly.end());
   }
   return flat;
 }

@@ -39,6 +39,15 @@ void apply_effect(CellNetlist& cell, const StrayEffect& effect) {
   }
 }
 
+netlist::ConductionEdge stray_edge(const netlist::Conduction& conduction,
+                                   const StrayEffect& effect) {
+  netlist::RowSet on = conduction.lanes();
+  for (const auto& link : effect.chain) {
+    on &= conduction.on_rows(link.type, link.gate_input);
+  }
+  return {effect.a, effect.b, on};
+}
+
 std::string ImmunityReport::to_string(const CellNetlist& cell) const {
   std::ostringstream out;
   out << (immune ? "IMMUNE" : "VULNERABLE") << ": " << effects.size()
@@ -118,9 +127,13 @@ ImmunityReport check_exact(const GeometryIndex& index, const CellNetlist& cell,
     }
   }
 
-  CellNetlist augmented = cell;
-  for (const auto& e : report.effects) apply_effect(augmented, e);
-  report.functional = augmented.check_function(function);
+  const netlist::Conduction conduction(cell);
+  std::vector<netlist::ConductionEdge> strays;
+  for (const auto& e : report.effects) {
+    strays.push_back(stray_edge(conduction, e));
+  }
+  netlist::Reach reach;
+  report.functional = conduction.check(function, strays, reach);
   report.immune = report.functional.ok;
   return report;
 }
@@ -404,27 +417,69 @@ std::vector<StrayEffect> trace_tube(const GeometryIndex& index,
 
 namespace {
 
-/// Per-worker Monte Carlo scratch (util::worker_scratch): the augmented
-/// netlist copy, the tube polyline/effect buffers, and the tracer arena
-/// all persist across the worker's trials. The netlist is copied once per
-/// (worker, monte_carlo call) and rolled back to its mark per trial, so a
-/// warm trial's only heap traffic is the rare effect chain and the
-/// netlist's own growth past steady state.
+/// Per-worker Monte Carlo scratch (util::worker_scratch): the tube
+/// polyline, effect and stray-edge buffers, the conduction scratch and
+/// the tracer arena all persist across the worker's trials, so a warm
+/// trial's only heap traffic is the rare effect chain. Nothing in it
+/// outlives a trial, so concurrent monte_carlo calls can share a worker.
 struct McScratch {
-  CellNetlist augmented{0};  ///< placeholder shape; rebound per call
-  CellNetlist::Mark mark{};
-  std::uint64_t bound_call = 0;  ///< which monte_carlo call `augmented` copies
   std::vector<DVec2> polyline;
   std::vector<StrayEffect> effects;
+  std::vector<netlist::ConductionEdge> strays;
+  netlist::Reach reach;
   util::Arena arena;
 };
 
-/// Distinguishes monte_carlo invocations so worker scratch never rolls a
-/// netlist back across calls (the daemon dispatches concurrent Monte
-/// Carlo requests onto the same pool workers).
-std::atomic<std::uint64_t> mc_call_counter{0};
+constexpr double kPi = 3.14159265358979323846;
 
 }  // namespace
+
+TubeSampler::TubeSampler(const TubeModel& model, const Rect& cell_box)
+    : outlier_fraction_(model.outlier_fraction),
+      angle_sigma_(model.angle_sigma_deg * kPi / 180.0),
+      log_mean_length_(std::log(model.mean_length_lambda)),
+      length_sigma_(model.length_sigma),
+      bend_sigma_(model.bend_sigma_deg * kPi / 180.0) {
+  // Centers range anywhere a tube could still intersect the cell.
+  const double margin = model.mean_length_lambda * geom::kLambda;
+  center_lo_ = {static_cast<double>(cell_box.lo().x) - margin,
+                static_cast<double>(cell_box.lo().y) - margin};
+  center_hi_ = {static_cast<double>(cell_box.hi().x) + margin,
+                static_cast<double>(cell_box.hi().y) + margin};
+}
+
+TubeDraw TubeSampler::draw(util::Xoshiro256& rng) const {
+  TubeDraw tube;
+  // The braced list fixes the draw order: x, then y.
+  tube.center = DVec2{rng.uniform(center_lo_.x, center_hi_.x),
+                      rng.uniform(center_lo_.y, center_hi_.y)};
+  if (rng.uniform() < outlier_fraction_) {
+    tube.angle = rng.uniform(-kPi / 2, kPi / 2);
+  } else {
+    tube.angle = rng.normal(0.0, angle_sigma_);
+  }
+  tube.len = std::exp(rng.normal(log_mean_length_, length_sigma_)) *
+             geom::kLambda;
+  tube.bend = rng.normal(0.0, bend_sigma_);
+  return tube;
+}
+
+void TubeDraw::polyline(std::vector<DVec2>& out) const {
+  // Two segments: half the tube on each side of the kink.
+  const DVec2 dir1{std::cos(angle), std::sin(angle)};
+  const DVec2 dir2{std::cos(angle + bend), std::sin(angle + bend)};
+  out.assign({center - dir1 * (len / 2), center, center + dir2 * (len / 2)});
+}
+
+bool TubeDraw::cannot_reach_bands(const GeometryIndex& index) const {
+  // Each point is center + d * (len / 2) with |d.x|, |d.y| <= 1, and IEEE
+  // rounding is monotone, so every computed coordinate lies inside the
+  // box computed here. A non-finite length or direction keeps the trace.
+  if (!std::isfinite(len) || !std::isfinite(angle + bend)) return false;
+  const double half = len / 2;
+  return !index.may_touch_bands_y(center.y - half, center.y + half) ||
+         !index.may_touch_bands_x(center.x - half, center.x + half);
+}
 
 MonteCarloResult monte_carlo(const layout::CellLayout& layout,
                              const CellNetlist& cell,
@@ -433,15 +488,15 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
                              std::uint64_t seed, int num_threads,
                              TracerKind tracer) {
   CNFET_REQUIRE(trials > 0 && model.tubes_per_trial > 0);
+  CNFET_REQUIRE(function.num_inputs() == cell.num_inputs());
   // Built once and shared read-only by every worker; construction also
   // proves the bands disjoint, once, instead of per analysis call.
   const GeometryIndex index(layout.geometry());
   const CellGeometry& geo = index.geometry();
-  const Rect box = layout.bbox();
-  const std::uint64_t call_id = mc_call_counter.fetch_add(1) + 1;
-
-  constexpr double kPi = 3.14159265358979323846;
-  const double diag_margin = model.mean_length_lambda * geom::kLambda;
+  const TubeSampler sampler(model, layout.bbox());
+  // The cell's own conduction fixpoint, also built once: each trial only
+  // relaxes its stray edges on top of it.
+  const netlist::Conduction conduction(cell);
 
   // Trials are independent instances; each draws from its own
   // counter-seeded stream (see header) and folds integer tallies into the
@@ -461,48 +516,18 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
     std::int64_t trial_shorts = 0;
     std::int64_t trial_chains = 0;
     McScratch& scratch = util::worker_scratch<McScratch>();
-    if (scratch.bound_call != call_id) {
-      scratch.augmented = cell;
-      scratch.mark = scratch.augmented.mark();
-      scratch.bound_call = call_id;
-    } else {
-      scratch.augmented.rollback(scratch.mark);
-    }
-    CellNetlist& augmented = scratch.augmented;
+    scratch.strays.clear();
     bool any_effect = false;
     for (int tube = 0; tube < model.tubes_per_trial; ++tube) {
-      // Random center anywhere a tube could still intersect the cell.
-      const DVec2 center{
-          rng.uniform(static_cast<double>(box.lo().x) - diag_margin,
-                      static_cast<double>(box.hi().x) + diag_margin),
-          rng.uniform(static_cast<double>(box.lo().y) - diag_margin,
-                      static_cast<double>(box.hi().y) + diag_margin)};
-      double angle = 0.0;
-      if (rng.uniform() < model.outlier_fraction) {
-        angle = rng.uniform(-kPi / 2, kPi / 2);
-      } else {
-        angle = rng.normal(0.0, model.angle_sigma_deg * kPi / 180.0);
-      }
-      const double len = std::exp(rng.normal(
-                             std::log(model.mean_length_lambda),
-                             model.length_sigma)) *
-                         geom::kLambda;
-      const double bend =
-          rng.normal(0.0, model.bend_sigma_deg * kPi / 180.0);
-
-      // Two-segment polyline: half the tube on each side of the kink.
-      const DVec2 dir1{std::cos(angle), std::sin(angle)};
-      const DVec2 dir2{std::cos(angle + bend), std::sin(angle + bend)};
-      const DVec2 start = center - dir1 * (len / 2);
-      const DVec2 mid = center;
-      const DVec2 end = center + dir2 * (len / 2);
-
-      scratch.polyline.assign({start, mid, end});
+      // Every draw happens before the skip, so the stream is unchanged.
+      const TubeDraw draw = sampler.draw(rng);
       scratch.effects.clear();
       if (tracer == TracerKind::kNaive) {
+        draw.polyline(scratch.polyline);
         trace_tube_into(geo, scratch.polyline, scratch.arena,
                         scratch.effects);
-      } else {
+      } else if (!draw.cannot_reach_bands(index)) {
+        draw.polyline(scratch.polyline);
         trace_tube_into(index, scratch.polyline, scratch.arena,
                         scratch.effects);
       }
@@ -513,7 +538,7 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
         } else {
           ++trial_chains;
         }
-        apply_effect(augmented, effect);
+        scratch.strays.push_back(stray_edge(conduction, effect));
       }
     }
     tubes_sampled += model.tubes_per_trial;
@@ -521,7 +546,8 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
     stray_chains += trial_chains;
     shorts_histogram.add(trial_shorts);
     chains_histogram.add(trial_chains);
-    if (any_effect && !augmented.check_function(function).ok) {
+    if (any_effect &&
+        !conduction.check(function, scratch.strays, scratch.reach).ok) {
       ++failing_trials;
     }
   };

@@ -24,7 +24,10 @@
 //    augmented netlist still checks out, the layout is immune to ANY number
 //    of straight mispositioned tubes.
 //  * monte_carlo — samples bent, tilted, displaced tubes (beyond the
-//    straight-tube proof) and reports functional yield.
+//    straight-tube proof) and reports functional yield. A trial never
+//    copies the netlist: its effects become stray conduction edges,
+//    relaxed over the cell's fixpoint, computed once per call
+//    (netlist/conduction.hpp).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,7 @@
 #include "geom/vec.hpp"
 #include "layout/cell_layout.hpp"
 #include "netlist/cell_netlist.hpp"
+#include "netlist/conduction.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -57,7 +61,17 @@ struct StrayEffect {
 };
 
 /// Adds a stray effect onto a netlist copy (fresh internal nets per link).
+/// This is the reference meaning of an effect; the analyses use
+/// stray_edge instead.
 void apply_effect(netlist::CellNetlist& cell, const StrayEffect& effect);
+
+/// The effect as one conduction edge between its end nets, on in the rows
+/// where every link of its chain conducts (every row for a hard short).
+/// Exact for everything the functional check observes: the chain's inner
+/// nets touch nothing but the chain, so a path through them must cross
+/// all of it, and nothing is read at them.
+[[nodiscard]] netlist::ConductionEdge stray_edge(
+    const netlist::Conduction& conduction, const StrayEffect& effect);
 
 /// Result of the straight-tube immunity proof.
 struct ImmunityReport {
@@ -99,6 +113,45 @@ struct TubeModel {
   int tubes_per_trial = 24;          ///< tubes landing on one cell instance
 };
 
+/// One mispositioned tube as monte_carlo draws it: a two-segment polyline
+/// kinked at `center`, half of `len` on each side.
+struct TubeDraw {
+  geom::DVec2 center;
+  double angle = 0.0;  ///< first segment's direction, radians
+  double len = 0.0;    ///< tube length, millilambda
+  double bend = 0.0;   ///< kink angle, radians
+
+  /// Writes {start, center, end} into `out`.
+  void polyline(std::vector<geom::DVec2>& out) const;
+
+  /// True when no polyline point can touch a band of `index`: every
+  /// point lies in the box center ± len/2, and that box misses the bands.
+  /// Such a tube traces to no effects, so the indexed Monte Carlo path
+  /// skips its trig and its trace.
+  [[nodiscard]] bool cannot_reach_bands(const GeometryIndex& index) const;
+};
+
+/// Draws tubes of one TubeModel over one cell, with the model's derived
+/// constants (center range, radian spreads, log median length) computed
+/// once instead of per tube.
+class TubeSampler {
+ public:
+  TubeSampler(const TubeModel& model, const geom::Rect& cell_box);
+
+  /// Consumes one tube's draws from `rng`, in this order: center x,
+  /// center y, the outlier coin, the angle, the length and the bend.
+  [[nodiscard]] TubeDraw draw(util::Xoshiro256& rng) const;
+
+ private:
+  geom::DVec2 center_lo_;
+  geom::DVec2 center_hi_;
+  double outlier_fraction_;
+  double angle_sigma_;
+  double log_mean_length_;
+  double length_sigma_;
+  double bend_sigma_;
+};
+
 struct MonteCarloResult {
   /// Width of the per-trial histograms: bucket b counts trials that saw
   /// exactly b effects of that kind, with the last bucket saturating
@@ -128,6 +181,8 @@ enum class TracerKind { kIndexed, kNaive };
 
 /// Samples `trials` cell instances, each hit by tubes_per_trial mispositioned
 /// tubes, and evaluates the augmented netlist functionally per instance.
+/// The cell's conduction fixpoint is built once per call; a trial turns
+/// its effects into stray edges and relaxes only those on top of it.
 ///
 /// Reproducibility contract: trial `i` draws from its own RNG stream
 /// `util::Xoshiro256(util::derive_stream(seed, i))` (counter-based seeding),

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <sstream>
 
+#include "netlist/conduction.hpp"
 #include "util/error.hpp"
 
 namespace cnfet::netlist {
@@ -34,7 +34,7 @@ std::string FunctionalReport::to_string() const {
 }
 
 CellNetlist::CellNetlist(int num_inputs) : num_inputs_(num_inputs) {
-  CNFET_REQUIRE(num_inputs >= 0 && num_inputs <= 12);
+  CNFET_REQUIRE(num_inputs >= 0 && num_inputs <= kMaxInputs);
   net_names_ = {"GND", "VDD", "OUT"};
 }
 
@@ -56,15 +56,6 @@ void CellNetlist::add_fet(Fet fet) {
   fets_.push_back(fet);
 }
 
-void CellNetlist::rollback(const Mark& m) {
-  CNFET_REQUIRE(m.num_nets >= 3 && m.num_nets <= net_names_.size());
-  CNFET_REQUIRE(m.num_fets <= fets_.size());
-  CNFET_REQUIRE(m.num_shorts <= shorts_.size());
-  net_names_.resize(m.num_nets);
-  fets_.resize(m.num_fets);
-  shorts_.resize(m.num_shorts);
-}
-
 void CellNetlist::add_short(RailShort s) {
   CNFET_REQUIRE(s.a >= 0 && s.a < num_nets());
   CNFET_REQUIRE(s.b >= 0 && s.b < num_nets());
@@ -79,162 +70,19 @@ std::vector<Fet> CellNetlist::plane_fets(FetType type) const {
   return out;
 }
 
-bool CellNetlist::fet_is_on(const Fet& fet, std::uint64_t input_row) const {
-  const bool gate_high = (input_row >> fet.gate_input) & 1;
-  return fet.type == FetType::kN ? gate_high : !gate_high;
-}
-
-std::vector<CellNetlist::Reach> CellNetlist::reachability(
-    std::uint64_t input_row) const {
-  // Two BFS floods over the conduction graph (ON FETs plus hard shorts):
-  // one seeded at VDD, one at GND.
-  std::vector<std::vector<NetId>> adjacency(
-      static_cast<std::size_t>(num_nets()));
-  auto connect = [&](NetId a, NetId b) {
-    adjacency[static_cast<std::size_t>(a)].push_back(b);
-    adjacency[static_cast<std::size_t>(b)].push_back(a);
-  };
-  for (const auto& f : fets_) {
-    if (fet_is_on(f, input_row)) connect(f.a, f.b);
-  }
-  for (const auto& s : shorts_) connect(s.a, s.b);
-
-  std::vector<Reach> reach(static_cast<std::size_t>(num_nets()));
-  auto flood = [&](NetId seed, auto mark) {
-    std::vector<bool> seen(static_cast<std::size_t>(num_nets()), false);
-    std::queue<NetId> queue;
-    queue.push(seed);
-    seen[static_cast<std::size_t>(seed)] = true;
-    while (!queue.empty()) {
-      const NetId n = queue.front();
-      queue.pop();
-      mark(reach[static_cast<std::size_t>(n)]);
-      for (NetId next : adjacency[static_cast<std::size_t>(n)]) {
-        if (!seen[static_cast<std::size_t>(next)]) {
-          seen[static_cast<std::size_t>(next)] = true;
-          queue.push(next);
-        }
-      }
-    }
-  };
-  flood(kVdd, [](Reach& r) { r.from_vdd = true; });
-  flood(kGnd, [](Reach& r) { r.from_gnd = true; });
-  return reach;
-}
-
 Level CellNetlist::evaluate(std::uint64_t input_row, NetId net) const {
-  CNFET_REQUIRE(net >= 0 && net < num_nets());
-  CNFET_REQUIRE(num_inputs_ == 0 || input_row < (1ull << num_inputs_));
-  const auto reach = reachability(input_row);
-  const Reach r = reach[static_cast<std::size_t>(net)];
-  if (r.from_vdd && r.from_gnd) return Level::kFight;
-  if (r.from_vdd) return Level::kHigh;
-  if (r.from_gnd) return Level::kLow;
-  return Level::kFloat;
+  return Conduction(*this, input_row).level(net);
 }
 
 bool CellNetlist::has_supply_short(std::uint64_t input_row) const {
-  const auto reach = reachability(input_row);
-  return reach[kVdd].from_gnd;
+  return Conduction(*this, input_row).base().gnd[kVdd] != 0;
 }
 
 FunctionalReport CellNetlist::check_function(
     const logic::TruthTable& expected) const {
   CNFET_REQUIRE(expected.num_inputs() == num_inputs_);
-
-  // Hot path (Monte Carlo calls this once per trial): build one incidence
-  // CSR over every potential conduction edge (FET channels tagged with
-  // their gate condition, hard shorts always on), then flood each truth
-  // table row against it with zero further allocation. The computed reach
-  // sets are identical to reachability(row) — only the adjacency-building
-  // and queue allocations per row are gone; connectivity is order-blind.
-  struct HalfEdge {
-    NetId to = 0;
-    int gate_input = 0;
-    FetType type = FetType::kN;
-    bool gated = false;  ///< false: hard short, always conducts
-  };
-  const auto net_count = static_cast<std::size_t>(num_nets());
-  std::vector<int> degree(net_count + 1, 0);
-  for (const auto& f : fets_) {
-    ++degree[static_cast<std::size_t>(f.a) + 1];
-    ++degree[static_cast<std::size_t>(f.b) + 1];
-  }
-  for (const auto& s : shorts_) {
-    ++degree[static_cast<std::size_t>(s.a) + 1];
-    ++degree[static_cast<std::size_t>(s.b) + 1];
-  }
-  for (std::size_t n = 0; n < net_count; ++n) degree[n + 1] += degree[n];
-  std::vector<HalfEdge> edges(static_cast<std::size_t>(degree[net_count]));
-  std::vector<int> cursor(degree.begin(), degree.end() - 1);
-  const auto push_edge = [&](NetId a, NetId b, int gate_input, FetType type,
-                             bool gated) {
-    edges[static_cast<std::size_t>(cursor[static_cast<std::size_t>(a)]++)] =
-        {b, gate_input, type, gated};
-    edges[static_cast<std::size_t>(cursor[static_cast<std::size_t>(b)]++)] =
-        {a, gate_input, type, gated};
-  };
-  for (const auto& f : fets_) push_edge(f.a, f.b, f.gate_input, f.type, true);
-  for (const auto& s : shorts_) push_edge(s.a, s.b, 0, FetType::kN, false);
-
-  std::vector<Reach> reach(net_count);
-  std::vector<NetId> stack;
-  stack.reserve(net_count);
-  // Flood marking `field` (from_vdd or from_gnd); the mark itself is the
-  // visited flag, so no separate seen array is needed.
-  const auto flood = [&](NetId seed, bool Reach::* field,
-                         std::uint64_t input_row) {
-    stack.clear();
-    stack.push_back(seed);
-    reach[static_cast<std::size_t>(seed)].*field = true;
-    while (!stack.empty()) {
-      const NetId n = stack.back();
-      stack.pop_back();
-      const int begin = degree[static_cast<std::size_t>(n)];
-      const int end = degree[static_cast<std::size_t>(n) + 1];
-      for (int e = begin; e < end; ++e) {
-        const HalfEdge& edge = edges[static_cast<std::size_t>(e)];
-        if (edge.gated) {
-          const bool gate_high = (input_row >> edge.gate_input) & 1;
-          const bool on = edge.type == FetType::kN ? gate_high : !gate_high;
-          if (!on) continue;
-        }
-        if (!(reach[static_cast<std::size_t>(edge.to)].*field)) {
-          reach[static_cast<std::size_t>(edge.to)].*field = true;
-          stack.push_back(edge.to);
-        }
-      }
-    }
-  };
-
-  FunctionalReport report;
-  for (std::uint64_t row = 0; row < expected.num_rows(); ++row) {
-    std::fill(reach.begin(), reach.end(), Reach{});
-    flood(kVdd, &Reach::from_vdd, row);
-    flood(kGnd, &Reach::from_gnd, row);
-    const Reach out = reach[kOut];
-    const bool supply_short = reach[kVdd].from_gnd;
-    Level level = Level::kFloat;
-    if (out.from_vdd && out.from_gnd) {
-      level = Level::kFight;
-    } else if (out.from_vdd) {
-      level = Level::kHigh;
-    } else if (out.from_gnd) {
-      level = Level::kLow;
-    }
-    const bool want_high = expected.eval(row);
-    const bool good = !supply_short &&
-                      level == (want_high ? Level::kHigh : Level::kLow);
-    if (!good) {
-      report.ok = false;
-      report.failing_row = row;
-      report.observed = level;
-      report.expected_high = want_high;
-      report.supply_short = supply_short;
-      return report;
-    }
-  }
-  return report;
+  Reach unused;
+  return Conduction(*this).check(expected, {}, unused);
 }
 
 namespace {

@@ -62,6 +62,9 @@ class CellNetlist {
   static constexpr NetId kGnd = 0;
   static constexpr NetId kVdd = 1;
   static constexpr NetId kOut = 2;
+  /// evaluate() takes any input count up to this; check_function() is
+  /// bounded by logic::TruthTable::kMaxInputs.
+  static constexpr int kMaxInputs = 12;
 
   explicit CellNetlist(int num_inputs);
 
@@ -75,23 +78,6 @@ class CellNetlist {
   void add_fet(Fet fet);
   void add_short(RailShort s);
 
-  /// Size snapshot for rollback(): nets, FETs and shorts are append-only,
-  /// so truncating back to a mark restores the exact pre-mark netlist.
-  /// This is the Monte Carlo hot path — each trial superimposes stray
-  /// devices on a persistent per-worker copy and rewinds, instead of
-  /// re-copying the whole netlist (and every net-name string) per trial.
-  struct Mark {
-    std::size_t num_nets = 0;
-    std::size_t num_fets = 0;
-    std::size_t num_shorts = 0;
-  };
-  [[nodiscard]] Mark mark() const {
-    return {net_names_.size(), fets_.size(), shorts_.size()};
-  }
-  /// Discards everything added after `m` (contract: `m` was taken on this
-  /// netlist and nothing was removed since).
-  void rollback(const Mark& m);
-
   [[nodiscard]] const std::vector<Fet>& fets() const { return fets_; }
   [[nodiscard]] const std::vector<RailShort>& shorts() const {
     return shorts_;
@@ -101,7 +87,9 @@ class CellNetlist {
   [[nodiscard]] std::vector<Fet> plane_fets(FetType type) const;
 
   /// Switch-level value at `net` for the given input vector (bit i of
-  /// `input_row` drives input i).
+  /// `input_row` drives input i). These three run netlist::Conduction
+  /// (conduction.hpp); callers that check many variants of one netlist
+  /// should hold a Conduction and pass the variants as extra edges.
   [[nodiscard]] Level evaluate(std::uint64_t input_row,
                                NetId net = kOut) const;
 
@@ -114,13 +102,6 @@ class CellNetlist {
       const logic::TruthTable& expected) const;
 
  private:
-  struct Reach {
-    bool from_vdd = false;
-    bool from_gnd = false;
-  };
-  [[nodiscard]] std::vector<Reach> reachability(std::uint64_t input_row) const;
-  [[nodiscard]] bool fet_is_on(const Fet& fet, std::uint64_t input_row) const;
-
   int num_inputs_;
   std::vector<std::string> net_names_;
   std::vector<Fet> fets_;

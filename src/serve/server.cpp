@@ -421,8 +421,8 @@ json::Value Server::handle_monte_carlo(const Request& request) {
   return guarded(request, [&] {
     const std::string& cell = request.payload.get_string("cell");
     const int trials = request.payload.get_int("trials");
-    if (trials < 0 || trials > 10'000'000) {
-      throw util::Error("trials must be in [0, 10000000], got " +
+    if (trials < 1 || trials > 10'000'000) {
+      throw util::Error("trials must be in [1, 10000000], got " +
                         std::to_string(trials));
     }
     std::uint64_t seed = 1;

@@ -3,8 +3,11 @@
 // technique is immune, and the naive layout of Figure 2(b) is not.
 #include <gtest/gtest.h>
 
+#include "api/serialize.hpp"
 #include "cnt/analyzer.hpp"
 #include "layout/cells.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace cnfet::cnt {
 namespace {
@@ -203,6 +206,136 @@ TEST(MonteCarlo, WilderMisalignmentStillCannotBreakImmuneLayout) {
   const auto result = monte_carlo(built.layout, built.netlist, built.function,
                                   wild, 150, 99);
   EXPECT_EQ(result.failing_trials, 0);
+}
+
+// Pins monte_carlo's exact output on every buildable cell configuration.
+// The digests were recorded before the bit-parallel conduction kernel and
+// the reach-box skip replaced the per-trial netlist copy and per-row
+// floods, so a trial whose verdict, tally or RNG stream moved shows up
+// here. Each digest covers one (cell, style): both schemes, the default
+// and a wild tube model, seeds 1 and 7; it must hold at 1 and 4 threads.
+TEST(MonteCarlo, ResultsMatchParentDigests) {
+  TubeModel wild;
+  wild.angle_sigma_deg = 30.0;
+  wild.outlier_fraction = 0.25;
+  wild.bend_sigma_deg = 25.0;
+  wild.tubes_per_trial = 60;
+  const TubeModel models[] = {TubeModel{}, wild};
+  const LayoutStyle styles[] = {
+      LayoutStyle::kNaiveVulnerable, LayoutStyle::kEtchedIsolatedBranches,
+      LayoutStyle::kEtchedIsolatedFets, LayoutStyle::kCompactEuler};
+  // Row per standard_cell_family() entry, column per `styles` entry.
+  const char* const expected[12][4] = {
+      // INV
+      {"53bdd44e6cb2ab9a", "53bdd44e6cb2ab9a",
+       "53bdd44e6cb2ab9a", "53bdd44e6cb2ab9a"},
+      // NAND2
+      {"ca65dfbfb941f7fa", "7aa57f1b628f54fd",
+       "eba0ef7ff7569dbd", "2fc5d892dfa95702"},
+      // NAND3
+      {"9df1b43c45eabf28", "80c1291d3fee033c",
+       "b8888e4af6827f49", "3f308f4a918dda69"},
+      // NAND4
+      {"82632eb2dd586345", "467e902c62b134b4",
+       "c3f2d415ce5e2102", "d349d8c31f269fa7"},
+      // NOR2
+      {"00f9df91e771a3bd", "5ef5c1d1e0674744",
+       "7442fd59caae7c03", "10bfd7398e5da2ed"},
+      // NOR3
+      {"22dd8bc69f61d7d4", "df80d3e61e413646",
+       "825d2f750b9a2fdb", "49c641dbcaf18f7f"},
+      // NOR4
+      {"fe783b644002ceac", "4525cc0289eebdfe",
+       "c375c90c31df9126", "14ba4e253649e5fa"},
+      // AOI21
+      {"005f9cc50daf4212", "ea8d55d744ef4181",
+       "c3f0767fab7d7d02", "cfdb004d364b8ed4"},
+      // AOI22
+      {"20ebabe9ada5276e", "4aed2b0bf1be6cb2",
+       "b16de6a62f91d940", "507a5aa93ead75db"},
+      // OAI21
+      {"784c52efefa36497", "bf8c55b53e50892f",
+       "c3f0767fab7d7d02", "ad91f8d1920530b2"},
+      // OAI22
+      {"bc6ad6db8d4eaedd", "85e83d7269123f1b",
+       "b16de6a62f91d940", "bac6313a6d62f6a6"},
+      // AOI31
+      {"487f95009255b083", "d86a9d78dd280fb5",
+       "7a3af80e0cab66aa", "4a766af4b6c3f7fd"}};
+  const auto& family = layout::standard_cell_family();
+  ASSERT_EQ(family.size(), 12u);
+  for (std::size_t c = 0; c < family.size(); ++c) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      for (const int threads : {1, 4}) {
+        std::string bytes;
+        int failing = 0;
+        bool vulnerable = false;
+        for (const auto scheme : {CellScheme::kScheme1, CellScheme::kScheme2}) {
+          const auto built = make(family[c].name.c_str(), styles[s], scheme);
+          vulnerable = vulnerable ||
+                       !check_exact(built.layout, built.netlist, built.function)
+                            .immune;
+          for (const TubeModel& model : models) {
+            for (const std::uint64_t seed : {1, 7}) {
+              const auto mc =
+                  monte_carlo(built.layout, built.netlist, built.function,
+                              model, 256, seed, threads);
+              bytes += util::json::dump(api::to_json(mc));
+              failing += mc.failing_trials;
+            }
+          }
+        }
+        EXPECT_EQ(util::json::fnv1a64_hex(bytes), expected[c][s])
+            << family[c].name << " " << layout::to_string(styles[s]) << " @ "
+            << threads << " threads";
+        if (vulnerable) {
+          EXPECT_GT(failing, 0)
+              << family[c].name << " " << layout::to_string(styles[s]);
+        }
+      }
+    }
+  }
+}
+
+// stray_edge folds a whole chain into one edge. The functional check must
+// not tell it from the chain apply_effect builds out of fresh nets and
+// FETs, whatever nets the effects join and whatever their chains hold.
+TEST(StrayEdge, MatchesAppliedEffectsOnEveryCell) {
+  util::Xoshiro256 rng(31);
+  netlist::Reach reach;
+  int failing = 0;
+  for (const auto& spec : layout::standard_cell_family()) {
+    const auto built = make(spec.name.c_str(), LayoutStyle::kCompactEuler);
+    const netlist::Conduction conduction(built.netlist);
+    const int nets = built.netlist.num_nets();
+    const int inputs = built.netlist.num_inputs();
+    for (int iter = 0; iter < 300; ++iter) {
+      CellNetlist augmented = built.netlist;
+      std::vector<netlist::ConductionEdge> strays;
+      for (auto k = rng.below(4); k > 0; --k) {
+        StrayEffect effect;
+        effect.a = static_cast<netlist::NetId>(rng.below(nets));
+        effect.b = static_cast<netlist::NetId>(rng.below(nets));
+        for (auto l = rng.below(4); l > 0; --l) {
+          effect.chain.push_back(
+              {static_cast<int>(rng.below(inputs)),
+               rng.below(2) == 0 ? netlist::FetType::kN
+                                 : netlist::FetType::kP});
+        }
+        apply_effect(augmented, effect);
+        strays.push_back(stray_edge(conduction, effect));
+      }
+      const auto want = augmented.check_function(built.function);
+      const auto got = conduction.check(built.function, strays, reach);
+      failing += want.ok ? 0 : 1;
+      ASSERT_EQ(got.ok, want.ok) << spec.name << " " << iter;
+      EXPECT_EQ(got.failing_row, want.failing_row) << spec.name << " " << iter;
+      EXPECT_EQ(got.observed, want.observed) << spec.name << " " << iter;
+      EXPECT_EQ(got.expected_high, want.expected_high) << spec.name;
+      EXPECT_EQ(got.supply_short, want.supply_short) << spec.name;
+    }
+  }
+  EXPECT_GT(failing, 100);
 }
 
 TEST(ApplyEffect, ShortAndChainSemantics) {

@@ -144,6 +144,56 @@ TEST(CntIndex, IndexedTracerMatchesNaiveOnStandardCells) {
   }
 }
 
+// The indexed Monte Carlo path skips a tube whose reach box misses every
+// band. That is only sound if the naive tracer finds nothing on it either:
+// check it for tubes drawn exactly as monte_carlo draws them, on every cell
+// geometry, under the default and a wild model.
+TEST(CntIndex, ReachBoxSkipIsConservative) {
+  cnt::TubeModel wild;
+  wild.angle_sigma_deg = 30.0;
+  wild.outlier_fraction = 0.25;
+  wild.bend_sigma_deg = 25.0;
+  wild.length_sigma = 0.8;
+  util::Xoshiro256 rng(11);
+  std::vector<geom::DVec2> poly;
+  std::int64_t skipped = 0, traced_with_effects = 0;
+  for (const auto& spec : layout::standard_cell_family()) {
+    for (const auto style :
+         {layout::LayoutStyle::kNaiveVulnerable,
+          layout::LayoutStyle::kEtchedIsolatedBranches,
+          layout::LayoutStyle::kEtchedIsolatedFets,
+          layout::LayoutStyle::kCompactEuler}) {
+      for (const auto scheme :
+           {layout::CellScheme::kScheme1, layout::CellScheme::kScheme2}) {
+        layout::CellBuildOptions options;
+        options.style = style;
+        options.scheme = scheme;
+        const auto built = layout::build_cell(spec, options);
+        const auto geo = built.layout.geometry();
+        const cnt::GeometryIndex index(geo);
+        for (const cnt::TubeModel& model : {cnt::TubeModel{}, wild}) {
+          const cnt::TubeSampler sampler(model, built.layout.bbox());
+          for (int tube = 0; tube < 400; ++tube) {
+            const cnt::TubeDraw draw = sampler.draw(rng);
+            draw.polyline(poly);
+            const auto naive = cnt::trace_tube_naive(geo, poly);
+            if (draw.cannot_reach_bands(index)) {
+              ++skipped;
+              ASSERT_TRUE(naive.empty())
+                  << spec.name << " " << layout::to_string(style);
+            } else if (!naive.empty()) {
+              ++traced_with_effects;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both sides of the skip must be exercised.
+  EXPECT_GT(skipped, 10000);
+  EXPECT_GT(traced_with_effects, 1000);
+}
+
 TEST(CntIndex, BandMaskMatchesBruteForce) {
   util::Xoshiro256 rng(7);
   for (int round = 0; round < 200; ++round) {

@@ -389,6 +389,35 @@ TEST_F(ServeTest, GenRequestMatchesTheLocalGeneratorFlow) {
   EXPECT_FALSE(refused.value().get_bool("ok"));
 }
 
+TEST_F(ServeTest, MonteCarloTrialsOutOfRangeAreStructuredErrors) {
+  const int port = start();
+  auto c = client(port);
+  for (const int trials : {0, 10'000'001}) {
+    json::Value request = serve::make_request(serve::RequestKind::kMonteCarlo);
+    request.set("cell", "NAND2");
+    request.set("trials", trials);
+    auto response = c.call(std::move(request));
+    ASSERT_TRUE(response.ok()) << trials;
+    EXPECT_FALSE(response.value().get_bool("ok")) << trials;
+    const std::string text =
+        serve::response_diagnostics(response.value()).to_string();
+    EXPECT_NE(text.find("trials must be in [1, 10000000], got " +
+                        std::to_string(trials)),
+              std::string::npos)
+        << text;
+    // A contract violation would name a source file and line instead.
+    EXPECT_EQ(text.find(".cpp"), std::string::npos) << text;
+  }
+  // The connection survives and the smallest valid count runs.
+  json::Value one = serve::make_request(serve::RequestKind::kMonteCarlo);
+  one.set("cell", "NAND2");
+  one.set("trials", 1);
+  auto ran = c.call(std::move(one));
+  ASSERT_TRUE(ran.ok());
+  EXPECT_TRUE(ran.value().get_bool("ok"))
+      << serve::response_diagnostics(ran.value()).to_string();
+}
+
 TEST_F(ServeTest, SessionsRoundTripOverTheWireThroughResume) {
   const int port = start();
   auto c = client(port);
