@@ -9,7 +9,7 @@
 
 #include "api/flow.hpp"
 #include "cnt/analyzer.hpp"
-#include "core/design_kit.hpp"
+#include "layout/cells.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -52,7 +52,6 @@ api::Flow place_mix(const api::LibraryHandle& library,
 
 int main() {
   std::printf("== E7 / ablations: schemes, isolation styles, overhang ==\n\n");
-  const core::DesignKit kit;
 
   // (a) Height standardization loss.
   std::printf("(a) scheme-1 standardization loss vs scheme-2 packing\n");
@@ -88,16 +87,14 @@ int main() {
   util::TextTable lt({"cell", "etched-fets", "etched-branches[6]",
                       "compact-euler", "euler vs fets"});
   for (const char* name : {"NAND3", "AOI21", "AOI22", "AOI31"}) {
-    const auto a = kit.cell(name, layout::LayoutStyle::kEtchedIsolatedFets)
-                       .layout.pun()
-                       .active_area_lambda2();
-    const auto b =
-        kit.cell(name, layout::LayoutStyle::kEtchedIsolatedBranches)
-            .layout.pun()
-            .active_area_lambda2();
-    const auto c = kit.cell(name, layout::LayoutStyle::kCompactEuler)
-                       .layout.pun()
-                       .active_area_lambda2();
+    const auto pun_area = [&](layout::LayoutStyle style) {
+      return layout::build_cell(layout::find_cell_spec(name), {.style = style})
+          .layout.pun()
+          .active_area_lambda2();
+    };
+    const auto a = pun_area(layout::LayoutStyle::kEtchedIsolatedFets);
+    const auto b = pun_area(layout::LayoutStyle::kEtchedIsolatedBranches);
+    const auto c = pun_area(layout::LayoutStyle::kCompactEuler);
     lt.add_row({name, util::fmt_fixed(a, 0), util::fmt_fixed(b, 0),
                 util::fmt_fixed(c, 0),
                 util::fmt_percent((a - c) / a, 1)});

@@ -3,23 +3,23 @@
 // and the DRC/vertical-gating audit the paper's Section III discusses.
 #include <cstdio>
 
-#include "core/design_kit.hpp"
 #include "drc/drc.hpp"
+#include "layout/cells.hpp"
 #include "layout/strip.hpp"
 #include "util/table.hpp"
 
 int main() {
-  using cnfet::core::DesignKit;
   using cnfet::layout::LayoutStyle;
   using namespace cnfet;
+  const auto cell = [](const char* name, LayoutStyle style) {
+    return layout::build_cell(layout::find_cell_spec(name), {.style = style});
+  };
 
   std::printf("== E3 / Figures 3-4: layout construction ==\n\n");
-  const DesignKit kit;
-
   for (const char* name : {"NAND3", "AOI31"}) {
     for (const auto style : {LayoutStyle::kEtchedIsolatedBranches,
                              LayoutStyle::kCompactEuler}) {
-      const auto built = kit.cell(name, style);
+      const auto built = cell(name, style);
       std::printf("%s  [%s]\n", name, layout::to_string(style));
       std::printf("  PUN: %s\n",
                   layout::to_string(built.plan.pun, built.netlist).c_str());
@@ -36,13 +36,13 @@ int main() {
       std::printf("  DRC (conventional litho, no vertical gating): %s\n\n",
                   report.clean() ? "clean" : report.to_string().c_str());
     }
-    const auto compact = kit.cell(name, LayoutStyle::kCompactEuler);
+    const auto compact = cell(name, LayoutStyle::kCompactEuler);
     std::printf("%s\n", compact.layout.ascii().c_str());
   }
 
   // Figure 3 headline: NAND3 PUN at 4 lambda, new vs old.
-  const auto old_cell = kit.cell("NAND3", LayoutStyle::kEtchedIsolatedBranches);
-  const auto new_cell = kit.cell("NAND3", LayoutStyle::kCompactEuler);
+  const auto old_cell = cell("NAND3", LayoutStyle::kEtchedIsolatedBranches);
+  const auto new_cell = cell("NAND3", LayoutStyle::kCompactEuler);
   const double a_old = old_cell.layout.pun().active_area_lambda2();
   const double a_new = new_cell.layout.pun().active_area_lambda2();
   std::printf(

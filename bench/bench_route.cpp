@@ -31,7 +31,7 @@
 #include <string>
 
 #include "harness.hpp"
-#include "core/design_kit.hpp"
+#include "api/library_cache.hpp"
 #include "drc/drc.hpp"
 #include "gen/gen.hpp"
 #include "route/extract.hpp"
@@ -109,8 +109,9 @@ json::Value to_json(const Measured& m) {
 }  // namespace
 
 int main() {
-  static const core::DesignKit kit(layout::Tech::kCnfet65);
-  const auto& lib = kit.library();
+  const auto handle =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  const auto& lib = *handle;
   const auto& rules = lib.cells().front().built.layout.rules();
 
   flow::FullAdderOptions fa_opts;

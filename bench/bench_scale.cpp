@@ -27,7 +27,6 @@
 
 #include "harness.hpp"
 #include "api/flow.hpp"
-#include "core/design_kit.hpp"
 #include "gen/gen.hpp"
 #include "opt/opt.hpp"
 #include "sta/timing_graph.hpp"
@@ -62,8 +61,9 @@ bool oracle_matches(const gen::Generated& design, int vectors) {
 }  // namespace
 
 int main() {
-  const core::DesignKit kit(layout::Tech::kCnfet65);
-  const auto& library = kit.library();
+  const auto handle =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  const auto& library = *handle;
 
   // --- generate the workload family ---------------------------------------
   auto make = [&](gen::Family family, int size, std::uint64_t seed) {

@@ -11,12 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "core/design_kit.hpp"
+#include "api/batch.hpp"
+#include "layout/cells.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-using cnfet::core::DesignKit;
 using cnfet::layout::LayoutStyle;
 using cnfet::util::fmt_fixed;
 using cnfet::util::fmt_percent;
@@ -33,8 +33,13 @@ const std::map<std::string, std::vector<double>> kPaper = {
     {"AOI21/OAI21", {44.3, 40.6, 36.4, 32.5}},
 };
 
-double cell_core_area(const cnfet::layout::BuiltCell& built) {
-  return built.layout.core_area_lambda2();
+cnfet::layout::BuiltCell build(const std::string& name, LayoutStyle style,
+                               double width) {
+  cnfet::layout::CellBuildOptions options;
+  options.style = style;
+  options.base_width_lambda = width;
+  return cnfet::layout::build_cell(cnfet::layout::find_cell_spec(name),
+                                   options);
 }
 
 }  // namespace
@@ -52,22 +57,18 @@ int main() {
     std::printf("%s\n", t.to_string().c_str());
   }
 
-  const DesignKit kit;
   std::printf("Measured (this kit, cell core area = strips + routing gap):\n");
   TextTable measured({"Cell", "3l", "4l", "6l", "10l", "old etch slots",
                       "new redundant contacts"});
-  for (const char* name : {"INV", "NAND2", "NOR2", "NAND3", "NOR3", "AOI22",
-                           "OAI22", "AOI21", "OAI21"}) {
+  for (const auto& name : cnfet::layout::table1_cells()) {
     std::vector<std::string> row{name};
     int etches = 0, redundant = 0;
     for (const double w : kWidths) {
       const auto old_cell =
-          kit.cell(name, LayoutStyle::kEtchedIsolatedBranches,
-                   cnfet::layout::CellScheme::kScheme1, w);
-      const auto new_cell = kit.cell(name, LayoutStyle::kCompactEuler,
-                                     cnfet::layout::CellScheme::kScheme1, w);
-      const double a_old = cell_core_area(old_cell);
-      const double a_new = cell_core_area(new_cell);
+          build(name, LayoutStyle::kEtchedIsolatedBranches, w);
+      const auto new_cell = build(name, LayoutStyle::kCompactEuler, w);
+      const double a_old = old_cell.layout.core_area_lambda2();
+      const double a_new = new_cell.layout.core_area_lambda2();
       row.push_back(fmt_percent((a_old - a_new) / a_old, 2));
       etches = old_cell.layout.etch_slot_count();
       redundant = new_cell.plan.redundant_contacts;
@@ -81,7 +82,8 @@ int main() {
   std::printf("Structure audit at 4l (both techniques):\n");
   TextTable audit({"Cell", "style", "active area (l^2)", "core area (l^2)",
                    "etch", "red.contacts", "via-on-gate", "immune", "DRC"});
-  for (const auto& s : kit.table1_sweep()) {
+  const auto sweep = cnfet::api::table1_sweep(cnfet::layout::Tech::kCnfet65);
+  for (const auto& s : sweep) {
     if (s.width_lambda != 4.0) continue;
     audit.add_row({s.cell, cnfet::layout::to_string(s.style),
                    fmt_fixed(s.active_area_lambda2, 0),

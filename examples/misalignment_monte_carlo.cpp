@@ -7,13 +7,13 @@
 // bit-identical to a single-threaded run.
 #include <cstdio>
 
-#include "core/design_kit.hpp"
+#include "cnt/analyzer.hpp"
+#include "layout/cells.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace cnfet;
-  const core::DesignKit kit;
   const int threads = util::hardware_threads();
 
   std::printf("functional yield under mispositioned CNTs "
@@ -26,7 +26,10 @@ int main() {
       model.angle_sigma_deg = sigma;
       model.bend_sigma_deg = sigma / 2;
       auto run = [&](layout::LayoutStyle style) {
-        return kit.monte_carlo(name, style, 500, 7, model, threads);
+        const auto built =
+            layout::build_cell(layout::find_cell_spec(name), {.style = style});
+        return cnt::monte_carlo(built.layout, built.netlist, built.function,
+                                model, 500, 7, threads);
       };
       const auto naive = run(layout::LayoutStyle::kNaiveVulnerable);
       const auto euler = run(layout::LayoutStyle::kCompactEuler);

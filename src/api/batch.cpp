@@ -3,19 +3,25 @@
 #include <atomic>
 #include <utility>
 
+#include "cnt/analyzer.hpp"
+#include "drc/drc.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace cnfet::api {
+
+util::Result<Flow> flow_from_job(const FlowJob& job) {
+  return job.cell.empty()
+             ? Flow::from_expressions(job.outputs, job.inputs, job.options)
+             : Flow::from_cell(job.cell, job.options);
+}
 
 namespace {
 
 JobOutcome run_one(const FlowJob& job) {
   JobOutcome outcome;
   outcome.name = job.name;
-  auto flow = job.cell.empty()
-                  ? Flow::from_expressions(job.outputs, job.inputs, job.options)
-                  : Flow::from_cell(job.cell, job.options);
+  auto flow = flow_from_job(job);
   if (!flow.ok()) {
     outcome.diagnostics.add(flow.error());
     return outcome;
@@ -143,15 +149,11 @@ FlowReport run_batch(const std::vector<FlowJob>& jobs,
 
 std::vector<FlowJob> family_jobs(const std::vector<layout::Tech>& techs,
                                  const FlowOptions& base) {
-  // The Table-1 evaluation set (the wider NAND4/NOR4/AOI31 family members
-  // exist in layout:: but are not part of the paper's area table).
-  static const char* kCells[] = {"INV",   "NAND2", "NOR2",  "NAND3", "NOR3",
-                                 "AOI22", "OAI22", "AOI21", "OAI21"};
   std::vector<FlowJob> jobs;
   for (const auto tech : techs) {
-    for (const char* cell : kCells) {
+    for (const auto& cell : layout::table1_cells()) {
       FlowJob job;
-      job.name = std::string(cell) + "@" + layout::to_string(tech);
+      job.name = cell + "@" + layout::to_string(tech);
       job.cell = cell;
       job.options = base;
       job.options.tech = tech;
@@ -160,6 +162,46 @@ std::vector<FlowJob> family_jobs(const std::vector<layout::Tech>& techs,
     }
   }
   return jobs;
+}
+
+CellAreaSummary audit(layout::Tech tech, const std::string& name,
+                      layout::LayoutStyle style, double base_width_lambda) {
+  layout::CellBuildOptions options;
+  options.tech = tech;
+  options.style = style;
+  options.base_width_lambda = base_width_lambda;
+  const auto built = layout::build_cell(layout::find_cell_spec(name), options);
+  CellAreaSummary s;
+  s.cell = name;
+  s.style = style;
+  s.width_lambda = base_width_lambda;
+  s.active_area_lambda2 = built.layout.active_area_lambda2();
+  s.core_area_lambda2 = built.layout.core_area_lambda2();
+  s.etch_slots = built.layout.etch_slot_count();
+  s.redundant_contacts = built.plan.redundant_contacts;
+  s.via_on_gate = built.layout.via_on_gate_count();
+  s.immune =
+      cnt::check_exact(built.layout, built.netlist, built.function).immune;
+  drc::DrcOptions drc_options;
+  // The etched technique needs vertical gating by construction; audit it
+  // under the relaxed deck so the area comparison is apples-to-apples.
+  drc_options.allow_vertical_gating =
+      style != layout::LayoutStyle::kCompactEuler;
+  s.drc_clean = drc::check(built.layout, drc_options).clean();
+  return s;
+}
+
+std::vector<CellAreaSummary> table1_sweep(layout::Tech tech) {
+  std::vector<CellAreaSummary> out;
+  for (const auto& name : layout::table1_cells()) {
+    for (const double width : {3.0, 4.0, 6.0, 10.0}) {
+      out.push_back(
+          audit(tech, name, layout::LayoutStyle::kCompactEuler, width));
+      out.push_back(audit(tech, name,
+                          layout::LayoutStyle::kEtchedIsolatedBranches, width));
+    }
+  }
+  return out;
 }
 
 }  // namespace cnfet::api

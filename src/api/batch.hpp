@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/flow.hpp"
+#include "layout/cells.hpp"
 
 namespace cnfet::api {
 
@@ -23,6 +24,11 @@ struct FlowJob {
   /// How far to advance the pipeline.
   Stage target = Stage::kExported;
 };
+
+/// The job's session at stage Created: Flow::from_cell for a cell job,
+/// Flow::from_expressions otherwise. Every front end (run_batch, the
+/// compile server, cnfetc compile) starts a job's flow through this.
+[[nodiscard]] util::Result<Flow> flow_from_job(const FlowJob& job);
 
 /// Per-job outcome: reached stage, metrics snapshot and the full
 /// diagnostic log. `ok` means the job reached its target stage.
@@ -90,5 +96,29 @@ struct BatchOptions {
 /// each requested technology — the standard regression batch.
 [[nodiscard]] std::vector<FlowJob> family_jobs(
     const std::vector<layout::Tech>& techs, const FlowOptions& base = {});
+
+/// Summary of one cell under one layout technique (Table-1 bookkeeping).
+struct CellAreaSummary {
+  std::string cell;
+  layout::LayoutStyle style = layout::LayoutStyle::kCompactEuler;
+  double width_lambda = 4.0;
+  double active_area_lambda2 = 0.0;
+  double core_area_lambda2 = 0.0;
+  int etch_slots = 0;
+  int redundant_contacts = 0;
+  int via_on_gate = 0;
+  bool immune = false;
+  bool drc_clean = false;
+};
+
+/// Full audit of one scheme-1 cell: area, immunity proof, DRC.
+[[nodiscard]] CellAreaSummary audit(layout::Tech tech, const std::string& name,
+                                    layout::LayoutStyle style,
+                                    double base_width_lambda = 4.0);
+
+/// Table-1 sweep: audits layout::table1_cells() at the paper's widths
+/// (3/4/6/10 lambda) under both the compact-Euler and the prior etched
+/// technique.
+[[nodiscard]] std::vector<CellAreaSummary> table1_sweep(layout::Tech tech);
 
 }  // namespace cnfet::api

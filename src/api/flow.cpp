@@ -147,6 +147,20 @@ util::Result<Flow> Flow::from_netlist(flow::GateNetlist netlist,
   return flow;
 }
 
+util::Result<Flow> Flow::from_gen(const gen::GenOptions& gen_options,
+                                  FlowOptions options) {
+  auto library = resolve_library(options);
+  if (!library.ok()) return library.error();
+  gen::Generated design;
+  try {
+    design = gen::generate(*library.value(), gen_options);
+  } catch (const std::exception& e) {
+    return util::Result<Flow>::failure("gen", e.what());
+  }
+  if (options.top_name == "TOP") options.top_name = design.name;
+  return from_netlist(std::move(design.netlist), std::move(options));
+}
+
 template <typename Body>
 util::Result<Stage> Flow::advance(Stage required, Stage next,
                                   const char* stage_name, Body&& body) {
@@ -404,17 +418,20 @@ std::optional<util::Diagnostic> Flow::build_routed() {
   return std::nullopt;
 }
 
+ExportedArtifact Flow::build_exported() const {
+  ExportedArtifact artifact;
+  artifact.top_name = options_.top_name;
+  artifact.gds = routed_ ? flow::export_gds(placed_->placement,
+                                            options_.top_name, routed_->routing)
+                         : flow::export_gds(placed_->placement,
+                                            options_.top_name);
+  return artifact;
+}
+
 util::Result<Stage> Flow::export_design() {
   return advance(Stage::kSignedOff, Stage::kExported, "export",
                  [&]() -> std::optional<util::Diagnostic> {
-                   ExportedArtifact artifact;
-                   artifact.top_name = options_.top_name;
-                   artifact.gds =
-                       routed_ ? flow::export_gds(placed_->placement,
-                                                  options_.top_name,
-                                                  routed_->routing)
-                               : flow::export_gds(placed_->placement,
-                                                  options_.top_name);
+                   auto artifact = build_exported();
                    diags_.info(
                        "export",
                        std::to_string(artifact.gds.structures.size()) +

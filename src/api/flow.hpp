@@ -28,6 +28,7 @@
 #include "flow/mapper.hpp"
 #include "flow/placer.hpp"
 #include "gds/gds.hpp"
+#include "gen/gen.hpp"
 #include "opt/opt.hpp"
 #include "route/extract.hpp"
 #include "sta/sta.hpp"
@@ -239,6 +240,13 @@ class Flow {
   [[nodiscard]] static util::Result<Flow> from_netlist(
       flow::GateNetlist netlist, FlowOptions options = {});
 
+  /// Generates a gen:: benchmark design over the resolved library and
+  /// adopts it at stage Mapped (from_netlist). A generator failure comes
+  /// back as the Result's Diagnostic. As in from_cell, the default
+  /// top_name "TOP" is replaced by the design's name (e.g. "rca16").
+  [[nodiscard]] static util::Result<Flow> from_gen(
+      const gen::GenOptions& gen_options, FlowOptions options = {});
+
   Flow(Flow&&) = default;
   Flow& operator=(Flow&&) = default;
   Flow(const Flow&) = delete;
@@ -346,6 +354,10 @@ class Flow {
   /// over the placed design — shared by sign_off() and session resume.
   /// Returns the failure diagnostic, or nullopt on success.
   std::optional<util::Diagnostic> build_routed();
+
+  /// The GDS of the placed design — with the routed metal when routed_
+  /// is set — shared by export_design() and session resume.
+  [[nodiscard]] ExportedArtifact build_exported() const;
 
   std::string name_;
   FlowOptions options_;

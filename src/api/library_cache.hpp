@@ -57,7 +57,7 @@ class LibraryCache {
   /// instances exist for tools and tests that need an isolated disk tier.
   LibraryCache();
 
-  /// Process-wide cache shared by Flow, run_batch and core::DesignKit.
+  /// Process-wide cache shared by Flow, run_batch and the compile server.
   [[nodiscard]] static LibraryCache& global();
 
   /// The default-characterized library for a technology, building and

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "flow/gds_export.hpp"
 #include "layout/cells.hpp"
 #include "logic/expr.hpp"
 
@@ -1311,14 +1310,7 @@ util::Result<Flow> Flow::resume_json(const json::Value& payload,
       if (!flow.placed_) {
         throw util::Error("exported flow without a placed artifact");
       }
-      ExportedArtifact exported;
-      exported.top_name = flow.options_.top_name;
-      exported.gds =
-          flow.routed_
-              ? flow::export_gds(flow.placed_->placement, exported.top_name,
-                                 flow.routed_->routing)
-              : flow::export_gds(flow.placed_->placement, exported.top_name);
-      flow.exported_ = std::move(exported);
+      flow.exported_ = flow.build_exported();
     }
     // Cheap shape invariants: a resumed flow must have exactly the
     // artifacts its stage implies, or later advances would dereference

@@ -22,6 +22,13 @@ const std::vector<CellSpec>& standard_cell_family() {
   return family;
 }
 
+const std::vector<std::string>& table1_cells() {
+  static const std::vector<std::string> cells = {
+      "INV", "NAND2", "NOR2", "NAND3", "NOR3", "AOI22", "OAI22", "AOI21",
+      "OAI21"};
+  return cells;
+}
+
 const CellSpec& find_cell_spec(const std::string& name) {
   for (const auto& spec : standard_cell_family()) {
     if (spec.name == name) return spec;

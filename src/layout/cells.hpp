@@ -20,6 +20,10 @@ struct CellSpec {
 /// four-input NAND/NOR used by the flow's library.
 [[nodiscard]] const std::vector<CellSpec>& standard_cell_family();
 
+/// Names of the nine cells the paper's Table 1 evaluates, in table order
+/// (INV ... OAI21): the family minus AOI31 and the four-input NAND/NOR.
+[[nodiscard]] const std::vector<std::string>& table1_cells();
+
 /// Looks up a family member by name (throws util::Error when unknown).
 [[nodiscard]] const CellSpec& find_cell_spec(const std::string& name);
 

@@ -326,10 +326,7 @@ json::Value Server::handle_compile(const Request& request) {
   return guarded(request, [&] {
     const api::FlowJob job =
         api::flow_job_from_json(request.payload.at("job"));
-    auto flow = job.cell.empty()
-                    ? api::Flow::from_expressions(job.outputs, job.inputs,
-                                                  job.options)
-                    : api::Flow::from_cell(job.cell, job.options);
+    auto flow = api::flow_from_job(job);
     if (!flow.ok()) {
       util::Diagnostics diags;
       diags.add(flow.error());
@@ -367,19 +364,7 @@ json::Value Server::handle_gen(const Request& request) {
     if (const json::Value* o = request.payload.find("options")) {
       options = api::flow_options_from_json(*o);
     }
-    // The generator needs the characterized library up front (the flow
-    // would otherwise resolve it itself inside from_netlist).
-    auto library = api::LibraryCache::global().get(options.tech);
-    if (!library.ok()) {
-      util::Diagnostics diags;
-      diags.add(library.error());
-      return error_response(to_string(request.kind), request.id, diags);
-    }
-    options.library = library.value();
-    gen::Generated design = gen::generate(*options.library, gopt);
-    if (options.top_name == "TOP") options.top_name = design.name;
-    auto flow =
-        api::Flow::from_netlist(std::move(design.netlist), options);
+    auto flow = api::Flow::from_gen(gopt, std::move(options));
     if (!flow.ok()) {
       util::Diagnostics diags;
       diags.add(flow.error());
@@ -395,10 +380,7 @@ json::Value Server::handle_sta(const Request& request) {
   return guarded(request, [&] {
     const api::FlowJob job =
         api::flow_job_from_json(request.payload.at("job"));
-    auto flow = job.cell.empty()
-                    ? api::Flow::from_expressions(job.outputs, job.inputs,
-                                                  job.options)
-                    : api::Flow::from_cell(job.cell, job.options);
+    auto flow = api::flow_from_job(job);
     if (!flow.ok()) {
       util::Diagnostics diags;
       diags.add(flow.error());

@@ -213,12 +213,18 @@ Result<ParallelDone> parallel_for(std::int64_t n,
   state->grain = grain;
   state->fn = &fn;
 
-  // Borrow up to threads-1 helpers from the shared pool — batched, one
-  // lock + one notify. If the pool is draining (process exit) the batch
-  // is rejected and the caller simply runs everything itself.
+  // Borrow helpers from the shared pool — batched, one lock + one
+  // notify. More than one per span, or more than the pool has workers,
+  // would only queue closures that find nothing left to claim (and
+  // `threads` may come from outside input). If the pool is draining
+  // (process exit) the batch is rejected and the caller simply runs
+  // everything itself.
+  const std::int64_t spans = (n + grain - 1) / grain;
+  const int num_helpers = static_cast<int>(
+      std::min<std::int64_t>({threads, spans, shared_pool().size() + 1}) - 1);
   std::vector<std::function<void()>> helpers;
-  helpers.reserve(static_cast<std::size_t>(threads - 1));
-  for (int h = 0; h < threads - 1; ++h) {
+  helpers.reserve(static_cast<std::size_t>(num_helpers));
+  for (int h = 0; h < num_helpers; ++h) {
     helpers.push_back([state] { run_spans(*state); });
   }
   (void)shared_pool().try_submit_batch(std::move(helpers));

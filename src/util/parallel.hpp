@@ -144,7 +144,8 @@ struct ParallelDone {
 ///
 /// Threading: helper tasks are batch-submitted to shared_pool() and the
 /// calling thread participates, so the call never blocks on helper
-/// availability and spawns no threads.
+/// availability and spawns no threads. At most one helper is queued per
+/// grain-sized span and per pool worker, whatever `num_threads` asks for.
 [[nodiscard]] Result<ParallelDone> parallel_for(
     std::int64_t n, const std::function<void(std::int64_t)>& fn,
     int num_threads = 0, std::int64_t grain = 1);

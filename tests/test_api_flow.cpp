@@ -8,7 +8,8 @@
 
 #include "api/batch.hpp"
 #include "api/flow.hpp"
-#include "core/design_kit.hpp"
+#include "api/serialize.hpp"
+#include "flow/gds_export.hpp"
 
 namespace cnfet {
 namespace {
@@ -102,6 +103,27 @@ TEST(ApiFlow, UndeclaredInputsFailMappingWithoutThrowing) {
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(flow.value().stage(), api::Stage::kCreated);
   EXPECT_TRUE(flow.value().diagnostics().has_errors());
+}
+
+TEST(ApiFlow, FlowFromJobMatchesTheDirectConstructors) {
+  // The exported session, as JSON text: equal text means the same flow.
+  const auto session = [](util::Result<api::Flow> flow) {
+    EXPECT_TRUE(flow.ok());
+    EXPECT_TRUE(flow.value().run().ok());
+    return util::json::dump(flow.value().session_json().value());
+  };
+  api::FlowJob cell_job;
+  cell_job.cell = "AOI21";
+  EXPECT_EQ(session(api::flow_from_job(cell_job)),
+            session(api::Flow::from_cell("AOI21")));
+
+  api::FlowJob expr_job;
+  expr_job.outputs.push_back({"f", logic::parse_expr("A*B+C"), false});
+  expr_job.inputs = {"A", "B", "C"};
+  expr_job.options.top_name = "ab_or_c";
+  EXPECT_EQ(session(api::flow_from_job(expr_job)),
+            session(api::Flow::from_expressions(
+                expr_job.outputs, expr_job.inputs, expr_job.options)));
 }
 
 TEST(ApiFlow, StageOrderViolationsAreDiagnosed) {
@@ -231,13 +253,37 @@ TEST(ApiFlow, TechFollowsTheSuppliedLibrary) {
   }
 }
 
-TEST(ApiLibraryCache, FlowAndDesignKitShareOneLibrary) {
+TEST(ApiLibraryCache, FlowSharesTheCachedLibrary) {
   const auto handle = cnfet_library();
-  const core::DesignKit kit(layout::Tech::kCnfet65);
-  EXPECT_EQ(&kit.library(), handle.get());
   auto flow = api::Flow::from_cell("INV");
   ASSERT_TRUE(flow.ok());
   EXPECT_EQ(&flow.value().library(), handle.get());
+}
+
+TEST(ApiTable1, AuditSummaryIsConsistent) {
+  const auto tech = layout::Tech::kCnfet65;
+  const auto euler =
+      api::audit(tech, "NAND3", layout::LayoutStyle::kCompactEuler, 4.0);
+  const auto etched = api::audit(
+      tech, "NAND3", layout::LayoutStyle::kEtchedIsolatedBranches, 4.0);
+  EXPECT_TRUE(euler.immune);
+  EXPECT_TRUE(etched.immune);
+  EXPECT_TRUE(euler.drc_clean);
+  EXPECT_TRUE(etched.drc_clean);  // audited with vertical gating allowed
+  EXPECT_EQ(euler.etch_slots, 0);
+  EXPECT_EQ(etched.etch_slots, 2);
+  EXPECT_EQ(euler.via_on_gate, 0);
+  EXPECT_GT(etched.via_on_gate, 0);
+  EXPECT_LT(euler.core_area_lambda2, etched.core_area_lambda2);
+}
+
+TEST(ApiTable1, SweepCoversFamilyTimesWidthsTimesStyles) {
+  const auto sweep = api::table1_sweep(layout::Tech::kCnfet65);
+  EXPECT_EQ(sweep.size(), 9u * 4u * 2u);
+  for (const auto& s : sweep) {
+    EXPECT_TRUE(s.immune) << s.cell;
+    EXPECT_GT(s.core_area_lambda2, 0.0);
+  }
 }
 
 TEST(ApiBatch, FamilyBatchAggregatesBothTechs) {

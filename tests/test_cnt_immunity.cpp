@@ -185,6 +185,16 @@ TEST(MonteCarlo, VulnerableNand2LosesYield) {
   EXPECT_GT(result.stray_shorts, 0);
 }
 
+TEST(MonteCarlo, CompactNand2KeepsUnitYieldNaiveDoesNot) {
+  const auto run = [](LayoutStyle style, int trials) {
+    const auto built = make("NAND2", style);
+    return monte_carlo(built.layout, built.netlist, built.function,
+                       TubeModel{}, trials, 1, 1);
+  };
+  EXPECT_DOUBLE_EQ(run(LayoutStyle::kCompactEuler, 50).yield(), 1.0);
+  EXPECT_LT(run(LayoutStyle::kNaiveVulnerable, 200).yield(), 1.0);
+}
+
 TEST(MonteCarlo, DeterministicUnderSeed) {
   const auto built = make("NAND2", LayoutStyle::kNaiveVulnerable);
   const auto a = monte_carlo(built.layout, built.netlist, built.function,

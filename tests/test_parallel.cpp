@@ -16,6 +16,7 @@
 #include "liberty/library.hpp"
 #include "opt/opt.hpp"
 #include "sta/timing_graph.hpp"
+#include "util/heap_count.hpp"
 #include "util/parallel.hpp"
 
 namespace cnfet {
@@ -206,6 +207,26 @@ TEST(ParallelFor, CapturesExceptionsAsLowestIndexDiagnostic) {
     // A failure never cancels the remaining tasks, at any thread count.
     EXPECT_EQ(attempted.load(), 64) << threads << " threads";
   }
+}
+
+TEST(ParallelFor, QueuesNoMoreHelpersThanThePoolHasWorkers) {
+  if (!util::heap_counting_enabled()) {
+    GTEST_SKIP() << "heap-allocation counting is compiled out";
+  }
+  // A thread count from outside input (a served monte_carlo or batch
+  // request) must not turn into one queued closure per requested thread.
+  // The shared pool has a fixed size, so no OS thread is started here.
+  std::vector<std::int64_t> out(4096);
+  const std::function<void(std::int64_t)> fn = [&](std::int64_t i) {
+    out[static_cast<std::size_t>(i)] = i;
+  };
+  const std::uint64_t before = util::heap_allocs_this_thread();
+  const auto done = util::parallel_for(4096, fn, 4096, 1);
+  const std::uint64_t allocs = util::heap_allocs_this_thread() - before;
+  ASSERT_TRUE(done.ok());
+  EXPECT_LE(allocs,
+            static_cast<std::uint64_t>(util::hardware_threads() + 8));
+  EXPECT_EQ(out[4095], 4095);
 }
 
 TEST(ParallelMap, OrderingIsDeterministic) {

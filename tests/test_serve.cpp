@@ -351,8 +351,13 @@ TEST_F(ServeTest, GenRequestMatchesTheLocalGeneratorFlow) {
   gopt.target_gates = 200;
   gopt.num_inputs = 16;
   gopt.seed = 123;
+  // top_name "TOP" (the default, sent explicitly) means "name the top
+  // after the design" on every path.
+  api::FlowOptions served_options;
+  served_options.top_name = "TOP";
   json::Value request = serve::make_request(serve::RequestKind::kGen);
   request.set("gen", api::to_json(gopt));
+  request.set("options", api::to_json(served_options));
   request.set("target", "placed");
   auto response = c.call(std::move(request));
   ASSERT_TRUE(response.ok());
@@ -378,6 +383,16 @@ TEST_F(ServeTest, GenRequestMatchesTheLocalGeneratorFlow) {
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(json::dump(result.at("session")),
             json::dump(session.value()));
+
+  // Flow::from_gen, the constructor both cnfetc gen and the server call,
+  // builds that same session.
+  auto from_gen = api::Flow::from_gen(gopt, served_options);
+  ASSERT_TRUE(from_gen.ok());
+  EXPECT_EQ(from_gen.value().name(), design.name);
+  ASSERT_TRUE(from_gen.value().run(api::Stage::kPlaced).ok());
+  auto gen_session = from_gen.value().session_json();
+  ASSERT_TRUE(gen_session.ok());
+  EXPECT_EQ(json::dump(gen_session.value()), json::dump(session.value()));
 
   // Unknown family comes back as a structured error on a live connection.
   json::Value bad = serve::make_request(serve::RequestKind::kGen);

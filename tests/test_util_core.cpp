@@ -1,9 +1,8 @@
-// Tests for util (rng, tables, errors) and the core DesignKit facade.
+// Tests for util (rng, tables, errors, arena, heap counting).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/design_kit.hpp"
 #include "util/arena.hpp"
 #include "util/heap_count.hpp"
 #include "util/rng.hpp"
@@ -67,49 +66,6 @@ TEST(Table, NumericFormatters) {
   EXPECT_EQ(util::fmt_si(3.2e-12, "s"), "3.20ps");
   EXPECT_EQ(util::fmt_si(1.55e-15, "J"), "1.55fJ");
   EXPECT_EQ(util::fmt_si(0.0, "F"), "0F");
-}
-
-TEST(DesignKit, AuditSummaryIsConsistent) {
-  const core::DesignKit kit;
-  const auto euler =
-      kit.audit("NAND3", layout::LayoutStyle::kCompactEuler, 4.0);
-  const auto etched =
-      kit.audit("NAND3", layout::LayoutStyle::kEtchedIsolatedBranches, 4.0);
-  EXPECT_TRUE(euler.immune);
-  EXPECT_TRUE(etched.immune);
-  EXPECT_TRUE(euler.drc_clean);
-  EXPECT_TRUE(etched.drc_clean);  // audited with vertical gating allowed
-  EXPECT_EQ(euler.etch_slots, 0);
-  EXPECT_EQ(etched.etch_slots, 2);
-  EXPECT_EQ(euler.via_on_gate, 0);
-  EXPECT_GT(etched.via_on_gate, 0);
-  EXPECT_LT(euler.core_area_lambda2, etched.core_area_lambda2);
-}
-
-TEST(DesignKit, Table1SweepCoversFamilyTimesWidthsTimesStyles) {
-  const core::DesignKit kit;
-  const auto sweep = kit.table1_sweep();
-  EXPECT_EQ(sweep.size(), 9u * 4u * 2u);
-  for (const auto& s : sweep) {
-    EXPECT_TRUE(s.immune) << s.cell;
-    EXPECT_GT(s.core_area_lambda2, 0.0);
-  }
-}
-
-TEST(DesignKit, MonteCarloFacade) {
-  const core::DesignKit kit;
-  const auto immune =
-      kit.monte_carlo("NAND2", layout::LayoutStyle::kCompactEuler, 50);
-  EXPECT_DOUBLE_EQ(immune.yield(), 1.0);
-  const auto naive =
-      kit.monte_carlo("NAND2", layout::LayoutStyle::kNaiveVulnerable, 200);
-  EXPECT_LT(naive.yield(), 1.0);
-}
-
-TEST(DesignKit, CmosKitUsesWideRules) {
-  const core::DesignKit cmos(layout::Tech::kCmos65);
-  const auto inv = cmos.cell("INV");
-  EXPECT_DOUBLE_EQ(inv.layout.core_height_lambda(), 19.6);
 }
 
 TEST(Arena, BumpAllocatesAlignedAndGrows) {

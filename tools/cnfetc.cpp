@@ -210,6 +210,52 @@ util::Result<api::Stage> target_stage(Args& args) {
   return api::Stage::kExported;
 }
 
+/// The flow flags compile and gen share.
+struct FlowFlags {
+  api::FlowOptions options;
+  api::Stage target = api::Stage::kExported;
+  const std::string* server = nullptr;
+};
+
+/// Parses --tech --drive --optimize --route --top --to --server into
+/// `flags`; returns 0, or the usage exit code after printing the error.
+int parse_flow_flags(Args& args, FlowFlags* flags) {
+  if (const auto* tech = args.value_of("--tech")) {
+    auto parsed = api::tech_from_string(*tech);
+    if (!parsed.ok()) return usage(parsed.error().message.c_str());
+    flags->options.tech = parsed.value();
+  }
+  if (const auto* drive = args.value_of("--drive")) {
+    if (!parse_number(*drive, &flags->options.drive)) {
+      return usage(("--drive is not a number: " + *drive).c_str());
+    }
+  }
+  if (args.has_switch("--optimize")) flags->options.optimize = true;
+  if (args.has_switch("--route")) flags->options.route = true;
+  if (const auto* top = args.value_of("--top")) flags->options.top_name = *top;
+  const auto target = target_stage(args);
+  if (!target.ok()) return usage(target.error().message.c_str());
+  flags->target = target.value();
+  flags->server = args.value_of("--server");
+  return 0;
+}
+
+/// The one-line metrics summary (plus the routed line) every compile,
+/// gen and resume ends with, local or served.
+void print_metrics(const api::FlowMetrics& m) {
+  std::printf("%s @ %s: stage %s, %d gates, delay %.3gps, "
+              "area %.0f lambda^2, %d DRC violations\n",
+              m.name.c_str(), layout::to_string(m.tech),
+              api::to_string(m.stage), m.gates, m.worst_arrival_s * 1e12,
+              m.placed_area_lambda2, m.drc_violations);
+  if (m.routed) {
+    std::printf("routed: %.0f lambda wire, %.3f fF wire cap, "
+                "wire delay +%.3gps, %d wire DRC violations\n",
+                m.total_wirelength, m.wire_cap_ff, m.wire_delay_ps,
+                m.wire_drc_violations);
+  }
+}
+
 /// Advances `flow` to `target`, saves the session under `dir` and writes
 /// design.gds when the flow is exported. Shared by compile and resume.
 int finish_flow(api::Flow& flow, api::Stage target, const std::string& dir) {
@@ -233,18 +279,7 @@ int finish_flow(api::Flow& flow, api::Stage target, const std::string& dir) {
     }
     std::printf("wrote %s\n", written.value().c_str());
   }
-  const auto m = flow.metrics();
-  std::printf("%s @ %s: stage %s, %d gates, delay %.3gps, "
-              "area %.0f lambda^2, %d DRC violations\n",
-              m.name.c_str(), layout::to_string(m.tech),
-              api::to_string(m.stage), m.gates, m.worst_arrival_s * 1e12,
-              m.placed_area_lambda2, m.drc_violations);
-  if (m.routed) {
-    std::printf("routed: %.0f lambda wire, %.3f fF wire cap, "
-                "wire delay +%.3gps, %d wire DRC violations\n",
-                m.total_wirelength, m.wire_cap_ff, m.wire_delay_ps,
-                m.wire_drc_violations);
-  }
+  print_metrics(flow.metrics());
   print_cache_notes();
   return reached.ok() ? 0 : 1;
 }
@@ -291,18 +326,7 @@ int finish_served_flow(const util::json::Value& response,
     std::printf("wrote %s\n", path.c_str());
   }
   if (const util::json::Value* metrics = result->find("metrics")) {
-    const auto m = api::flow_metrics_from_json(*metrics);
-    std::printf("%s @ %s: stage %s, %d gates, delay %.3gps, "
-                "area %.0f lambda^2, %d DRC violations\n",
-                m.name.c_str(), layout::to_string(m.tech),
-                api::to_string(m.stage), m.gates, m.worst_arrival_s * 1e12,
-                m.placed_area_lambda2, m.drc_violations);
-    if (m.routed) {
-      std::printf("routed: %.0f lambda wire, %.3f fF wire cap, "
-                  "wire delay +%.3gps, %d wire DRC violations\n",
-                  m.total_wirelength, m.wire_cap_ff, m.wire_delay_ps,
-                  m.wire_drc_violations);
-    }
+    print_metrics(api::flow_metrics_from_json(*metrics));
   }
   return response.get_bool("ok") ? 0 : 1;
 }
@@ -329,46 +353,31 @@ int cmd_compile(Args& args) {
   const auto* out_dir = args.value_of("--out");
   if (cell == nullptr) return usage("compile requires --cell");
   if (out_dir == nullptr) return usage("compile requires --out");
-  api::FlowOptions options;
-  if (const auto* tech = args.value_of("--tech")) {
-    auto parsed = api::tech_from_string(*tech);
-    if (!parsed.ok()) return usage(parsed.error().message.c_str());
-    options.tech = parsed.value();
-  }
-  if (const auto* drive = args.value_of("--drive")) {
-    if (!parse_number(*drive, &options.drive)) {
-      return usage(("--drive is not a number: " + *drive).c_str());
-    }
-  }
+  FlowFlags flags;
+  if (const int code = parse_flow_flags(args, &flags)) return code;
   if (const auto* drive = args.value_of("--output-drive")) {
-    if (!parse_number(*drive, &options.output_drive)) {
+    if (!parse_number(*drive, &flags.options.output_drive)) {
       return usage(("--output-drive is not a number: " + *drive).c_str());
     }
   }
-  if (args.has_switch("--optimize")) options.optimize = true;
-  if (args.has_switch("--route")) options.route = true;
-  if (const auto* top = args.value_of("--top")) options.top_name = *top;
-  const auto target = target_stage(args);
-  if (!target.ok()) return usage(target.error().message.c_str());
-  const auto* server = args.value_of("--server");
   if (const auto flag = args.unknown_flag(); !flag.empty()) {
     return usage(("unknown flag " + flag).c_str());
   }
-  if (server != nullptr) {
-    api::FlowJob job;
-    job.cell = *cell;
-    job.options = options;
-    job.target = target.value();
+  api::FlowJob job;
+  job.cell = *cell;
+  job.options = flags.options;
+  job.target = flags.target;
+  if (flags.server != nullptr) {
     auto request = serve::make_request(serve::RequestKind::kCompile);
     request.set("job", api::to_json(job));
-    return call_server(*server, std::move(request), *out_dir);
+    return call_server(*flags.server, std::move(request), *out_dir);
   }
-  auto flow = api::Flow::from_cell(*cell, options);
+  auto flow = api::flow_from_job(job);
   if (!flow.ok()) {
     std::fprintf(stderr, "cnfetc: %s\n", flow.error().to_string().c_str());
     return 1;
   }
-  return finish_flow(flow.value(), target.value(), *out_dir);
+  return finish_flow(flow.value(), job.target, *out_dir);
 }
 
 int cmd_gen(Args& args) {
@@ -405,59 +414,25 @@ int cmd_gen(Args& args) {
       return usage(("--seed is not a uint64: " + *seed).c_str());
     }
   }
-  api::FlowOptions options;
-  if (const auto* tech = args.value_of("--tech")) {
-    auto parsed = api::tech_from_string(*tech);
-    if (!parsed.ok()) return usage(parsed.error().message.c_str());
-    options.tech = parsed.value();
-  }
-  if (const auto* drive = args.value_of("--drive")) {
-    if (!parse_number(*drive, &options.drive)) {
-      return usage(("--drive is not a number: " + *drive).c_str());
-    }
-    gopt.drive = options.drive;
-  }
-  if (args.has_switch("--optimize")) options.optimize = true;
-  if (args.has_switch("--route")) options.route = true;
-  const auto* top = args.value_of("--top");
-  if (top != nullptr) options.top_name = *top;
-  const auto target = target_stage(args);
-  if (!target.ok()) return usage(target.error().message.c_str());
-  const auto* server = args.value_of("--server");
+  FlowFlags flags;
+  if (const int code = parse_flow_flags(args, &flags)) return code;
+  gopt.drive = flags.options.drive;
   if (const auto flag = args.unknown_flag(); !flag.empty()) {
     return usage(("unknown flag " + flag).c_str());
   }
-  if (server != nullptr) {
+  if (flags.server != nullptr) {
     auto request = serve::make_request(serve::RequestKind::kGen);
     request.set("gen", api::to_json(gopt));
-    request.set("options", api::to_json(options));
-    request.set("target", api::to_string(target.value()));
-    return call_server(*server, std::move(request), *out_dir);
+    request.set("options", api::to_json(flags.options));
+    request.set("target", api::to_string(flags.target));
+    return call_server(*flags.server, std::move(request), *out_dir);
   }
-  auto library = api::LibraryCache::global().get(options.tech);
-  if (!library.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", library.error().to_string().c_str());
-    return 1;
-  }
-  options.library = library.value();
-  gen::Generated design;
-  try {
-    design = gen::generate(*options.library, gopt);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cnfetc: gen failed: %s\n", e.what());
-    return 1;
-  }
-  if (top == nullptr) options.top_name = design.name;
-  std::printf("generated %s: %zu gates, %zu inputs, %zu outputs\n",
-              design.name.c_str(), design.netlist.gates().size(),
-              design.netlist.inputs().size(),
-              design.netlist.outputs().size());
-  auto flow = api::Flow::from_netlist(std::move(design.netlist), options);
+  auto flow = api::Flow::from_gen(gopt, flags.options);
   if (!flow.ok()) {
     std::fprintf(stderr, "cnfetc: %s\n", flow.error().to_string().c_str());
     return 1;
   }
-  return finish_flow(flow.value(), target.value(), *out_dir);
+  return finish_flow(flow.value(), flags.target, *out_dir);
 }
 
 int cmd_resume(Args& args) {
