@@ -63,7 +63,7 @@ inline bool merge_section(const std::string& path, const std::string& key,
   const std::string temp = path + ".tmp";
   {
     std::ofstream out(temp, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
+    out << json::dump(root) << "\n";
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", temp.c_str());
       return false;

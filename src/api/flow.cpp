@@ -327,68 +327,73 @@ util::Result<Stage> Flow::sign_off() {
   return advance(
       Stage::kPlaced, Stage::kSignedOff, "signoff",
       [&]() -> std::optional<util::Diagnostic> {
-        SignOffArtifact artifact;
-        std::set<const liberty::LibCell*> distinct;
-        for (const auto& gate : mapped_->map.netlist.gates()) {
-          distinct.insert(gate.cell);
+        signoff_ = check_cells(diags_);
+        if (!options_.route) return std::nullopt;
+        auto routing = route::route(mapped_->map.netlist, placed_->placement,
+                                    design_rules(), options_.route_opts);
+        if (!routing.complete()) {
+          return util::Diagnostic{
+              util::Severity::kError, "signoff",
+              std::to_string(routing.failed_nets) +
+                  " net(s) failed to route even at the full-grid window"};
         }
-        for (const auto* cell : distinct) {
-          CellSignOff record;
-          record.cell = cell->name;
-          const auto report = drc::check(cell->built.layout, options_.drc);
-          record.drc_violations = static_cast<int>(report.violations.size());
-          artifact.total_drc_violations += record.drc_violations;
-          if (!report.clean()) {
-            diags_.warning("signoff", cell->name + " DRC: " +
-                                          report.to_string());
-          }
-          if (options_.tech == layout::Tech::kCnfet65) {
-            record.immunity_checked = true;
-            record.immune = cnt::check_exact(cell->built.layout,
-                                             cell->built.netlist,
-                                             cell->built.function)
-                                .immune;
-            if (!record.immune) {
-              artifact.all_immune = false;
-              diags_.warning("signoff",
-                             cell->name +
-                                 " is NOT immune to mispositioned CNTs");
-            }
-          } else {
-            // The CNT immunity proof is meaningless for the CMOS baseline.
-            record.immune = true;
-          }
-          artifact.cells.push_back(std::move(record));
-        }
-        diags_.info("signoff",
-                    std::to_string(artifact.cells.size()) +
-                        " distinct cells checked, " +
-                        std::to_string(artifact.total_drc_violations) +
-                        " DRC violations" +
-                        (options_.tech == layout::Tech::kCnfet65
-                             ? (artifact.all_immune ? ", all immune"
-                                                    : ", IMMUNITY GAPS")
-                             : ""));
-        signoff_ = std::move(artifact);
-        if (options_.route) {
-          if (auto failure = build_routed()) return failure;
-        }
+        routed_ = derive_routed(std::move(routing), diags_);
         return std::nullopt;
       });
 }
 
-std::optional<util::Diagnostic> Flow::build_routed() {
-  RoutedArtifact artifact;
-  const layout::DesignRules& rules =
-      library_->cells().front().built.layout.rules();
-  artifact.routing = route::route(mapped_->map.netlist, placed_->placement,
-                                  rules, options_.route_opts);
-  if (!artifact.routing.complete()) {
-    return util::Diagnostic{
-        util::Severity::kError, "signoff",
-        std::to_string(artifact.routing.failed_nets) +
-            " net(s) failed to route even at the full-grid window"};
+const layout::DesignRules& Flow::design_rules() const {
+  return library_->cells().front().built.layout.rules();
+}
+
+SignOffArtifact Flow::check_cells(util::Diagnostics& diags) const {
+  SignOffArtifact artifact;
+  std::set<const liberty::LibCell*> distinct;
+  for (const auto& gate : mapped_->map.netlist.gates()) {
+    distinct.insert(gate.cell);
   }
+  for (const auto* cell : distinct) {
+    CellSignOff record;
+    record.cell = cell->name;
+    const auto report = drc::check(cell->built.layout, options_.drc);
+    record.drc_violations = static_cast<int>(report.violations.size());
+    artifact.total_drc_violations += record.drc_violations;
+    if (!report.clean()) {
+      diags.warning("signoff", cell->name + " DRC: " + report.to_string());
+    }
+    if (options_.tech == layout::Tech::kCnfet65) {
+      record.immunity_checked = true;
+      record.immune = cnt::check_exact(cell->built.layout, cell->built.netlist,
+                                       cell->built.function)
+                          .immune;
+      if (!record.immune) {
+        artifact.all_immune = false;
+        diags.warning("signoff",
+                      cell->name + " is NOT immune to mispositioned CNTs");
+      }
+    } else {
+      // The CNT immunity proof is meaningless for the CMOS baseline.
+      record.immune = true;
+    }
+    artifact.cells.push_back(std::move(record));
+  }
+  diags.info("signoff",
+             std::to_string(artifact.cells.size()) +
+                 " distinct cells checked, " +
+                 std::to_string(artifact.total_drc_violations) +
+                 " DRC violations" +
+                 (options_.tech == layout::Tech::kCnfet65
+                      ? (artifact.all_immune ? ", all immune"
+                                             : ", IMMUNITY GAPS")
+                      : ""));
+  return artifact;
+}
+
+RoutedArtifact Flow::derive_routed(route::RoutingResult routing,
+                                   util::Diagnostics& diags) const {
+  RoutedArtifact artifact;
+  artifact.routing = std::move(routing);
+  const layout::DesignRules& rules = design_rules();
   artifact.extraction =
       route::extract(mapped_->map.netlist, artifact.routing, rules);
   sta::TimingGraph wired(
@@ -403,9 +408,9 @@ std::optional<util::Diagnostic> Flow::build_routed() {
   const auto wire_drc = drc::check_routes(artifact.routing, rules);
   artifact.wire_drc_violations = static_cast<int>(wire_drc.violations.size());
   if (!wire_drc.clean()) {
-    diags_.warning("signoff", "routed wires: " + wire_drc.to_string());
+    diags.warning("signoff", "routed wires: " + wire_drc.to_string());
   }
-  diags_.info(
+  diags.info(
       "signoff",
       "routed " + std::to_string(artifact.routing.nets.size()) + " nets, " +
           util::fmt_fixed(artifact.routing.total_wirelength_lambda, 0) +
@@ -414,8 +419,7 @@ std::optional<util::Diagnostic> Flow::build_routed() {
           " wire cap; worst arrival " +
           util::fmt_si(artifact.ideal_worst_arrival_s, "s") + " ideal -> " +
           util::fmt_si(artifact.routed_timing.worst_arrival, "s") + " routed");
-  routed_ = std::move(artifact);
-  return std::nullopt;
+  return artifact;
 }
 
 ExportedArtifact Flow::build_exported() const {

@@ -310,11 +310,12 @@ class Flow {
   /// Snapshot of every completed stage's headline numbers.
   [[nodiscard]] FlowMetrics metrics() const;
 
-  /// Checkpoints the whole session — stage, options, specification,
-  /// artifacts and diagnostics — as a versioned JSON file `flow.json`
-  /// under `dir` (created if needed). A session saved at any stage and
-  /// reconstructed with resume() continues bit-identically: the same GDS
-  /// bytes, the same FlowMetrics. Returns the file path.
+  /// Checkpoints the session's decisions (stage, options, specification,
+  /// diagnostics, netlist, placement, routing ...) but no sign-off result
+  /// as a versioned compact JSON file `flow.json` under `dir` (created if
+  /// needed). A session saved at any stage and reconstructed with resume()
+  /// continues bit-identically: the same GDS bytes, the same FlowMetrics.
+  /// Returns the file path.
   /// (Implemented in api/serialize.cpp.)
   [[nodiscard]] util::Result<std::string> save(const std::string& dir) const;
 
@@ -328,10 +329,11 @@ class Flow {
   /// (characterization is deterministic, so the reconstruction is exact)
   /// and validated against the saved library fingerprint — a session
   /// built with a custom FlowOptions::library is refused rather than
-  /// silently rebound to different NLDM tables. The Exported artifact,
-  /// when present, is regenerated from the saved placement, which
-  /// reproduces the identical GDS stream. Schema-version or checksum
-  /// mismatches come back as error Diagnostics.
+  /// silently rebound to different NLDM tables. Sign-off results and the
+  /// Exported GDS are re-derived with the stages' own code, once a saved
+  /// routing has passed route::verify (a broken one is refused). Broken
+  /// routings and schema-version or checksum mismatches come back as
+  /// error Diagnostics.
   [[nodiscard]] static util::Result<Flow> resume(const std::string& dir);
 
   /// resume() minus the file: rebuilds a session from the flow.json
@@ -350,10 +352,13 @@ class Flow {
   util::Result<Stage> advance(Stage required, Stage next,
                               const char* stage_name, Body&& body);
 
-  /// Routes, extracts, re-times with wire loads and runs the wire DRC deck
-  /// over the placed design — shared by sign_off() and session resume.
-  /// Returns the failure diagnostic, or nullopt on success.
-  std::optional<util::Diagnostic> build_routed();
+  [[nodiscard]] const layout::DesignRules& design_rules() const;
+
+  /// Sign-off's derivations (cell DRC and immunity; extraction, wired
+  /// timing and wire DRC of a routing), shared by sign_off() and resume.
+  [[nodiscard]] SignOffArtifact check_cells(util::Diagnostics& diags) const;
+  [[nodiscard]] RoutedArtifact derive_routed(route::RoutingResult routing,
+                                             util::Diagnostics& diags) const;
 
   /// The GDS of the placed design — with the routed metal when routed_
   /// is set — shared by export_design() and session resume.

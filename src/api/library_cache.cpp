@@ -46,7 +46,7 @@ std::string LibraryCache::cache_dir() const {
 std::string LibraryCache::cache_path(layout::Tech tech) const {
   const std::string dir = cache_dir();
   if (dir.empty()) return {};
-  // "CNFET65" -> "cnfet65-v1.json": the filename keys both the technology
+  // "CNFET65" -> "cnfet65-v2.json": the filename keys both the technology
   // and the artifact schema, so a schema bump naturally misses old files.
   std::string name = layout::to_string(tech);
   for (char& c : name) c = static_cast<char>(std::tolower(c));

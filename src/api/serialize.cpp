@@ -675,9 +675,6 @@ json::Value to_json(const FlowOptions& options) {
   v.set("sta", std::move(sta));
   json::Value place = json::Value::object();
   place.set("scheme", layout::to_string(options.place.scheme));
-  place.set("aspect_rows", options.place.aspect_rows);
-  place.set("cell_spacing_lambda", options.place.cell_spacing_lambda);
-  place.set("row_spacing_lambda", options.place.row_spacing_lambda);
   v.set("place", std::move(place));
   json::Value drc = json::Value::object();
   drc.set("allow_vertical_gating", options.drc.allow_vertical_gating);
@@ -711,9 +708,6 @@ FlowOptions flow_options_from_json(const json::Value& v) {
   options.sta.output_load = sta.get_double("output_load");
   const auto& place = v.at("place");
   options.place.scheme = scheme_from_string(place.get_string("scheme"));
-  options.place.aspect_rows = place.get_double("aspect_rows");
-  options.place.cell_spacing_lambda = place.get_double("cell_spacing_lambda");
-  options.place.row_spacing_lambda = place.get_double("row_spacing_lambda");
   const auto& drc = v.at("drc");
   options.drc.allow_vertical_gating = drc.get_bool("allow_vertical_gating");
   if (const auto* deck = drc.find("deck")) {
@@ -957,22 +951,21 @@ FlowJob flow_job_from_json(const json::Value& v) {
 
 // --- the versioned file envelope --------------------------------------------
 
-util::Result<std::string> write_artifact(json::Value payload,
+util::Result<std::string> write_artifact(const json::Value& payload,
                                          const std::string& kind,
                                          const std::string& path) {
   try {
-    json::Value envelope = json::Value::object();
-    envelope.set("schema_version", kSchemaVersion);
-    envelope.set("kind", kind);
-    envelope.set("checksum", json::fnv1a64_hex(json::dump(payload)));
-    envelope.set("payload", std::move(payload));
-    const std::string text = json::dump(envelope, 2);
+    // The payload is dumped once: the checksum covers exactly the text
+    // the file carries.
+    const std::string body = json::dump(payload);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
       return util::Result<std::string>::failure("serialize",
                                                 "cannot open " + path);
     }
-    out << text;
+    out << "{\"schema_version\":" << kSchemaVersion
+        << ",\"kind\":" << json::dump(kind) << ",\"checksum\":\""
+        << json::fnv1a64_hex(body) << "\",\"payload\":" << body << "}\n";
     out.flush();
     if (!out.good()) {
       return util::Result<std::string>::failure("serialize",
@@ -1104,7 +1097,7 @@ util::Result<std::string> Flow::save(const std::string& dir) const {
   if (!payload.ok()) return payload.error();
   try {
     std::filesystem::create_directories(dir);
-    return write_artifact(std::move(payload).value(), "flow",
+    return write_artifact(payload.value(), "flow",
                           (std::filesystem::path(dir) / "flow.json").string());
   } catch (const std::exception& e) {
     return util::Result<std::string>::failure("serialize", e.what());
@@ -1159,7 +1152,8 @@ util::Result<util::json::Value> Flow::session_json() const {
       s.set("area_before", optimized_->stats.area_before);
       s.set("area_after", optimized_->stats.area_after);
       o.set("stats", std::move(s));
-      o.set("timing", to_json(optimized_->timing));
+      // Disabled, the stage's timing is a copy of the Timed artifact's.
+      if (optimized_->enabled) o.set("timing", to_json(optimized_->timing));
       payload.set("optimized", std::move(o));
     }
     if (placed_) {
@@ -1167,31 +1161,11 @@ util::Result<util::json::Value> Flow::session_json() const {
       p.set("placement", to_json(placed_->placement, mapped_->map.netlist));
       payload.set("placed", std::move(p));
     }
-    if (signoff_) {
-      json::Value s = json::Value::object();
-      json::Value cells = json::Value::array();
-      for (const auto& cell : signoff_->cells) {
-        json::Value c = json::Value::object();
-        c.set("cell", cell.cell);
-        c.set("drc_violations", cell.drc_violations);
-        c.set("immune", cell.immune);
-        c.set("immunity_checked", cell.immunity_checked);
-        cells.push_back(std::move(c));
-      }
-      s.set("cells", std::move(cells));
-      s.set("total_drc_violations", signoff_->total_drc_violations);
-      s.set("all_immune", signoff_->all_immune);
-      payload.set("signoff", std::move(s));
-    }
+    // Sign-off results are not stored: resume_json() re-derives them, and
+    // everything the routing implies, with the stage's own code.
     if (routed_) {
-      // The extraction is NOT stored: it is a cheap pure function of the
-      // routing + design rules, recomputed exactly on resume. The routed
-      // timing travels so resume needs no STA re-run.
       json::Value r = json::Value::object();
       r.set("routing", to_json(routed_->routing));
-      r.set("routed_timing", to_json(routed_->routed_timing));
-      r.set("ideal_worst_arrival_s", routed_->ideal_worst_arrival_s);
-      r.set("wire_drc_violations", routed_->wire_drc_violations);
       payload.set("routed", std::move(r));
     }
     // The Exported artifact is not stored: it is a pure function of the
@@ -1266,7 +1240,9 @@ util::Result<Flow> Flow::resume_json(const json::Value& payload,
       optimized.stats.delay_after = s.get_double("delay_after");
       optimized.stats.area_before = s.get_double("area_before");
       optimized.stats.area_after = s.get_double("area_after");
-      optimized.timing = sta_result_from_json(o->at("timing"));
+      if (optimized.enabled) {
+        optimized.timing = sta_result_from_json(o->at("timing"));
+      }
       flow.optimized_ = std::move(optimized);
     }
     if (const auto* p = payload.find("placed")) {
@@ -1278,57 +1254,54 @@ util::Result<Flow> Flow::resume_json(const json::Value& payload,
           placement_from_json(p->at("placement"), flow.mapped_->map.netlist);
       flow.placed_ = std::move(placed);
     }
-    if (const auto* s = payload.find("signoff")) {
-      SignOffArtifact signoff;
-      for (const auto& c : s->at("cells").items()) {
-        CellSignOff record;
-        record.cell = c.get_string("cell");
-        record.drc_violations = c.get_int("drc_violations");
-        record.immune = c.get_bool("immune");
-        record.immunity_checked = c.get_bool("immunity_checked");
-        signoff.cells.push_back(std::move(record));
-      }
-      signoff.total_drc_violations = s->get_int("total_drc_violations");
-      signoff.all_immune = s->get_bool("all_immune");
-      flow.signoff_ = std::move(signoff);
-    }
-    if (const auto* r = payload.find("routed")) {
-      if (!flow.mapped_) {
-        throw util::Error("routed artifact without a mapped netlist");
-      }
-      RoutedArtifact routed;
-      routed.routing = routing_result_from_json(r->at("routing"));
-      routed.extraction = route::extract(
-          flow.mapped_->map.netlist, routed.routing,
-          flow.library_->cells().front().built.layout.rules());
-      routed.routed_timing = sta_result_from_json(r->at("routed_timing"));
-      routed.ideal_worst_arrival_s = r->get_double("ideal_worst_arrival_s");
-      routed.wire_drc_violations = r->get_int("wire_drc_violations");
-      flow.routed_ = std::move(routed);
-    }
-    if (flow.stage_ == Stage::kExported) {
-      if (!flow.placed_) {
-        throw util::Error("exported flow without a placed artifact");
-      }
-      flow.exported_ = flow.build_exported();
-    }
     // Cheap shape invariants: a resumed flow must have exactly the
     // artifacts its stage implies, or later advances would dereference
     // absent optionals.
     const int stage_index = index_of_stage(flow.stage_);
+    const bool signed_off = stage_index >= index_of_stage(Stage::kSignedOff);
+    const auto* routed = payload.find("routed");
     if ((stage_index >= index_of_stage(Stage::kMapped)) != !!flow.mapped_ ||
         (stage_index >= index_of_stage(Stage::kTimed)) != !!flow.timed_ ||
         (stage_index >= index_of_stage(Stage::kOptimized)) !=
             !!flow.optimized_ ||
         (stage_index >= index_of_stage(Stage::kPlaced)) != !!flow.placed_ ||
-        (stage_index >= index_of_stage(Stage::kSignedOff)) !=
-            !!flow.signoff_ ||
-        (flow.options_.route &&
-         stage_index >= index_of_stage(Stage::kSignedOff)) !=
-            !!flow.routed_) {
+        (flow.options_.route && signed_off) != (routed != nullptr)) {
       throw util::Error("artifacts do not match the saved stage " +
                         std::string(to_string(flow.stage_)));
     }
+    // A disabled Optimized stage's timing is the Timed artifact's.
+    if (flow.optimized_ && !flow.optimized_->enabled) {
+      flow.optimized_->timing = flow.timed_->timing;
+    }
+    if (signed_off) {
+      // The saved diagnostics already hold the messages sign-off wrote.
+      util::Diagnostics rederived;
+      flow.signoff_ = flow.check_cells(rederived);
+      if (routed != nullptr) {
+        // The saved routing is outside input: refuse it unless it is
+        // complete and passes the open/short oracle (which also throws on
+        // a net id the netlist does not have).
+        auto routing = routing_result_from_json(routed->at("routing"));
+        const auto& netlist = flow.mapped_->map.netlist;
+        const auto report = route::verify(netlist, flow.placed_->placement,
+                                          routing, flow.design_rules());
+        if (!routing.complete() || !report.ok()) {
+          throw util::Error(
+              "saved routing fails route::verify: " +
+              std::to_string(routing.failed_nets) + " failed net(s), " +
+              std::to_string(report.open_nets) + " open net(s)" +
+              (report.open_nets > 0
+                   ? " (first: " + netlist.net_name(report.first_open_net) +
+                         ")"
+                   : "") +
+              ", " + std::to_string(report.shorted_net_pairs) +
+              " shorted net pair(s), " +
+              std::to_string(report.stray_terminals) + " stray terminal(s)");
+        }
+        flow.routed_ = flow.derive_routed(std::move(routing), rederived);
+      }
+    }
+    if (flow.stage_ == Stage::kExported) flow.exported_ = flow.build_exported();
     return flow;
   } catch (const std::exception& e) {
     return util::Result<Flow>::failure("serialize", path + ": " + e.what());

@@ -3,7 +3,7 @@
 //
 // Artifact files share one envelope:
 //
-//     { "schema_version": 1, "kind": "library" | "flow" | "jobs" | "report",
+//     { "schema_version": 2, "kind": "library" | "flow" | "jobs" | "report",
 //       "checksum": "<fnv1a64 of the compact payload dump>",
 //       "payload": { ... } }
 //
@@ -36,7 +36,7 @@
 namespace cnfet::api {
 
 /// Schema version stamped into (and required of) every artifact file.
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion = 2;
 
 /// Inverse of layout::to_string(Tech); accepts any capitalization
 /// ("cnfet65", "CNFET65"). The CLI's --tech flag speaks this.
@@ -111,11 +111,10 @@ inline constexpr int kSchemaVersion = 1;
 
 // --- the versioned file envelope ------------------------------------------
 
-/// Wraps `payload` in the envelope and writes it to `path` (pretty-
-/// printed). Returns the path. By-value so large payload trees move
-/// into the envelope instead of being copied.
+/// Wraps `payload` in the envelope and writes it to `path` as one
+/// compact line. Returns the path.
 [[nodiscard]] util::Result<std::string> write_artifact(
-    util::json::Value payload, const std::string& kind,
+    const util::json::Value& payload, const std::string& kind,
     const std::string& path);
 
 /// Reads `path`, validates envelope kind, schema version and checksum,

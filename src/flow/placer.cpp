@@ -20,8 +20,7 @@ struct Footprint {
   Coord height;  ///< natural height
 };
 
-double hpwl(const GateNetlist& netlist,
-            const std::vector<PlacedInstance>& instances) {
+double hpwl(const std::vector<PlacedInstance>& instances) {
   // Pin position approximation: instance center; PI/PO pins ignored.
   std::map<int, std::vector<Vec2>> net_pins;
   for (const auto& inst : instances) {
@@ -54,8 +53,8 @@ PlacementResult place(const GateNetlist& netlist, const PlaceOptions& options) {
   double natural_area = 0.0;
   Coord max_height = 0;
   Coord total_width = 0;
-  const Coord spacing = geom::from_lambda(options.cell_spacing_lambda);
-  const Coord row_gap = geom::from_lambda(options.row_spacing_lambda);
+  const Coord spacing = geom::from_lambda(2.0);  // between cells in a row
+  const Coord row_gap = geom::from_lambda(4.0);  // between rows
 
   for (const auto& gate : netlist.gates()) {
     const auto& lay = gate.cell->built.layout;
@@ -139,7 +138,7 @@ PlacementResult place(const GateNetlist& netlist, const PlaceOptions& options) {
       result.placed_area_lambda2 = area;
     }
   }
-  result.hpwl_lambda = hpwl(netlist, result.instances);
+  result.hpwl_lambda = hpwl(result.instances);
   return result;
 }
 

@@ -44,10 +44,6 @@ struct PlacementResult {
 
 struct PlaceOptions {
   layout::CellScheme scheme = layout::CellScheme::kScheme1;
-  /// Target row width as a multiple of total cell width (controls aspect).
-  double aspect_rows = 1.0;
-  double cell_spacing_lambda = 2.0;
-  double row_spacing_lambda = 4.0;
 };
 
 /// Places every gate of the netlist; deterministic (netlist order within

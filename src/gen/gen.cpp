@@ -29,15 +29,37 @@ util::Result<Family> family_from_string(const std::string& text) {
                  "' (expected rca, cla, mul or rand)");
 }
 
+namespace {
+
+/// Refuses options above kMaxGates before anything is allocated.
+void check_bound(const GenOptions& options, std::int64_t gates) {
+  if (gates > kMaxGates || options.num_inputs > kMaxGates) {
+    throw util::Error(std::string(to_string(options.family)) +
+                      " options ask for " + std::to_string(gates) +
+                      " gates over " + std::to_string(options.num_inputs) +
+                      " inputs, above the generator bound of " +
+                      std::to_string(kMaxGates));
+  }
+}
+
+}  // namespace
+
 Generated generate(const liberty::Library& library, const GenOptions& options) {
+  // Gate counts: 9 per rca bit, 25 per cla bit (exact for whole 4-bit
+  // blocks, an upper bound otherwise) and about 11 w^2 for mul.
+  const std::int64_t width = options.width;
   switch (options.family) {
     case Family::kRippleCarryAdder:
+      check_bound(options, 9 * width);
       return detail::generate_rca(library, options);
     case Family::kCarryLookaheadAdder:
+      check_bound(options, 25 * width);
       return detail::generate_cla(library, options);
     case Family::kArrayMultiplier:
+      check_bound(options, 11 * width * width);
       return detail::generate_multiplier(library, options);
     case Family::kRandomDag:
+      check_bound(options, options.target_gates);
       return detail::generate_random_dag(library, options);
   }
   throw util::Error("unreachable generator family");

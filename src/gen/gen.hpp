@@ -63,8 +63,14 @@ struct Generated {
   Oracle oracle;              ///< independent functional reference
 };
 
+/// The largest design generate() builds, in gates (and in primary inputs):
+/// about 100x the largest paper-scale design (mul 32, 10,880 gates).
+inline constexpr int kMaxGates = 1 << 20;
+
 /// Builds the requested design over `library` (which must carry INV,
 /// NAND2 and NOR2 at GenOptions::drive). Deterministic per options.
+/// Options asking for more than kMaxGates gates or primary inputs throw
+/// util::Error before anything is allocated.
 [[nodiscard]] Generated generate(const liberty::Library& library,
                                  const GenOptions& options);
 

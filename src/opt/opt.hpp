@@ -32,9 +32,6 @@ struct OptOptions {
   /// Nets with at least this many sink pins are candidates for fanout
   /// buffer splitting; 0 disables splitting.
   int fanout_buffer_threshold = 4;
-  bool enable_cleanup = true;
-  bool enable_sizing = true;
-  bool enable_buffering = true;
   /// Cross-check the graph against a full rebuild after every accepted
   /// edit (bit-for-bit; throws on divergence). For tests — quadratic.
   bool verify_incremental = false;

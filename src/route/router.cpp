@@ -868,7 +868,7 @@ VerifyReport verify(const flow::GateNetlist& netlist,
     const int root = dsu.find(first_terminal);
     for (int id = first_node[k]; id < first_node[k + 1]; ++id) {
       if (dsu.find(id) != root) {
-        ++report.open_nets;
+        if (report.open_nets++ == 0) report.first_open_net = rn.net;
         break;
       }
     }

@@ -113,6 +113,7 @@ struct RouteOptions {
 struct VerifyReport {
   int nets_checked = 0;
   int open_nets = 0;        ///< nets whose shapes+terminals are disconnected
+  int first_open_net = -1;  ///< the lowest open net id, -1 when none
   int shorted_net_pairs = 0;  ///< distinct net pairs with touching metal
   int stray_terminals = 0;  ///< terminals farther than a pitch from any pin
 

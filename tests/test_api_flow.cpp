@@ -126,6 +126,25 @@ TEST(ApiFlow, FlowFromJobMatchesTheDirectConstructors) {
                 expr_job.outputs, expr_job.inputs, expr_job.options)));
 }
 
+TEST(ApiFlow, FromGenRefusesDesignsAboveTheGeneratorBound) {
+  gen::GenOptions rand;
+  rand.family = gen::Family::kRandomDag;
+  rand.target_gates = 2'000'000'000;
+  gen::GenOptions mul;
+  mul.family = gen::Family::kArrayMultiplier;
+  mul.width = 100'000;
+  gen::GenOptions inputs;
+  inputs.family = gen::Family::kRandomDag;
+  inputs.num_inputs = gen::kMaxGates + 1;
+  for (const auto& options : {rand, mul, inputs}) {
+    const auto flow = api::Flow::from_gen(options);
+    ASSERT_FALSE(flow.ok()) << gen::to_string(options.family);
+    EXPECT_EQ(flow.error().stage, "gen");
+    EXPECT_NE(flow.error().message.find("generator bound"), std::string::npos)
+        << flow.error().message;
+  }
+}
+
 TEST(ApiFlow, StageOrderViolationsAreDiagnosed) {
   auto flow = api::Flow::from_cell("INV");
   ASSERT_TRUE(flow.ok());

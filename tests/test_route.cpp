@@ -85,9 +85,6 @@ TEST(RouteTier, OracleAcceptsFuzzedPlacementsOnBothSchemes) {
       auto design = random_dag(60 + 30 * static_cast<int>(seed), 8, seed);
       flow::PlaceOptions popt;
       popt.scheme = scheme;
-      // Vary the aspect ratio too: tall-and-narrow vs wide-and-flat
-      // placements exercise different congestion patterns.
-      popt.aspect_rows = seed % 2 == 0 ? 0.5 : 2.0;
       const auto placement = flow::place(design.netlist, popt);
       const auto routing = route::route(design.netlist, placement, rules);
       EXPECT_TRUE(routing.complete())
@@ -144,7 +141,6 @@ TEST(RouteTier, RoutingMatchesParentDigests) {
     for (const std::uint64_t seed : {1, 2, 3, 4}) {
       flow::PlaceOptions popt;
       popt.scheme = scheme;
-      popt.aspect_rows = seed % 2 == 0 ? 0.5 : 2.0;
       EXPECT_EQ(
           digest(random_dag(60 + 30 * static_cast<int>(seed), 8, seed), popt),
           fuzzed[scheme == layout::CellScheme::kScheme1 ? 0 : 1][seed - 1])

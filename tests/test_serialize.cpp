@@ -71,6 +71,13 @@ TEST(Json, ScalarsAndContainersRoundTrip) {
   EXPECT_EQ(json::dump(parsed), compact);
   // Pretty output parses back to the same compact form.
   EXPECT_EQ(json::dump(json::parse(json::dump(obj, 2))), compact);
+  // So does a hand-edited document with whitespace wherever the grammar
+  // allows it.
+  EXPECT_EQ(json::dump(json::parse(
+                " {\n\t\"a\" : [ 1 ,\r\n -2.5e-3 , { } , [ ] ] ,\n"
+                "  \"b\":\"x  y\" , \"c\" : null }  \n")),
+            "{\"a\":[1,-0.0025000000000000001,{},[]],\"b\":\"x  y\","
+            "\"c\":null}");
   EXPECT_TRUE(parsed.at("null").is_null());
   EXPECT_TRUE(parsed.get_bool("t"));
   EXPECT_EQ(parsed.get_int("neg"), -7);
@@ -268,14 +275,20 @@ TEST(Serialize, ReportFileRoundTripsIncludingSkippedFlag) {
 TEST(Serialize, UnknownSchemaVersionIsRefused) {
   const auto dir = temp_dir("schema");
   const auto path = dir + "/jobs.json";
-  ASSERT_TRUE(api::save_jobs({}, path).ok());
-  json::Value envelope = json::parse(slurp(path));
-  envelope.set("schema_version", api::kSchemaVersion + 1);
-  spit(path, json::dump(envelope, 2));
-  const auto loaded = api::load_jobs(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().message.find("schema_version"), std::string::npos);
-  EXPECT_NE(loaded.error().message.find("newer"), std::string::npos);
+  for (const int version :
+       {api::kSchemaVersion + 1, api::kSchemaVersion - 1}) {
+    SCOPED_TRACE(version);
+    ASSERT_TRUE(api::save_jobs({}, path).ok());
+    json::Value envelope = json::parse(slurp(path));
+    envelope.set("schema_version", version);
+    spit(path, json::dump(envelope, 2));
+    const auto loaded = api::load_jobs(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error().message.find("schema_version"),
+              std::string::npos);
+    EXPECT_EQ(loaded.error().message.find("newer") != std::string::npos,
+              version > api::kSchemaVersion);
+  }
 }
 
 TEST(Serialize, ChecksumMismatchIsRefused) {
@@ -638,17 +651,28 @@ std::string metrics_dump(const api::Flow& flow) {
   return json::dump(api::to_json(flow.metrics()));
 }
 
-api::Flow make_cell_flow(layout::Tech tech) {
+/// The wire-loaded timing, bit for bit ("" when the flow is not routed).
+std::string routed_timing_dump(const api::Flow& flow) {
+  return flow.routed() != nullptr
+             ? json::dump(api::to_json(flow.routed()->routed_timing))
+             : "";
+}
+
+api::Flow make_cell_flow(layout::Tech tech, bool route = false) {
   api::FlowOptions options;
   options.tech = tech;
+  options.route = route;
   return api::Flow::from_cell("NAND3", options).value();
 }
 
-void roundtrip_every_checkpoint(layout::Tech tech, const std::string& label) {
-  auto reference = make_cell_flow(tech);
+void roundtrip_every_checkpoint(layout::Tech tech, const std::string& label,
+                                bool route = false) {
+  auto reference = make_cell_flow(tech, route);
   ASSERT_TRUE(reference.run().ok());
   const std::string want_gds = gds_bytes(reference);
   const std::string want_metrics = metrics_dump(reference);
+  const std::string want_timing = routed_timing_dump(reference);
+  ASSERT_EQ(want_timing.empty(), !route);
 
   const api::Stage checkpoints[] = {
       api::Stage::kCreated,  api::Stage::kMapped,    api::Stage::kTimed,
@@ -656,7 +680,7 @@ void roundtrip_every_checkpoint(layout::Tech tech, const std::string& label) {
       api::Stage::kSignedOff, api::Stage::kExported};
   for (const auto checkpoint : checkpoints) {
     SCOPED_TRACE(std::string(label) + " @ " + api::to_string(checkpoint));
-    auto flow = make_cell_flow(tech);
+    auto flow = make_cell_flow(tech, route);
     ASSERT_TRUE(flow.run(checkpoint).ok());
     const auto dir =
         temp_dir(label + "_" + api::to_string(checkpoint));
@@ -671,10 +695,14 @@ void roundtrip_every_checkpoint(layout::Tech tech, const std::string& label) {
     EXPECT_EQ(r.stage(), checkpoint);
     EXPECT_EQ(r.diagnostics().to_string(), flow.diagnostics().to_string());
     EXPECT_EQ(metrics_dump(r), metrics_dump(flow));
+    EXPECT_EQ(routed_timing_dump(r), routed_timing_dump(flow));
     // And continuing it lands on the uninterrupted run's exact bytes.
     ASSERT_TRUE(r.run().ok());
+    EXPECT_EQ(r.diagnostics().to_string(),
+              reference.diagnostics().to_string());
     EXPECT_EQ(gds_bytes(r), want_gds);
     EXPECT_EQ(metrics_dump(r), want_metrics);
+    EXPECT_EQ(routed_timing_dump(r), want_timing);
   }
 }
 
@@ -684,6 +712,93 @@ TEST(FlowSession, CnfetRunResumesByteIdenticalFromEveryStage) {
 
 TEST(FlowSession, CmosBaselineResumesByteIdenticalFromEveryStage) {
   roundtrip_every_checkpoint(layout::Tech::kCmos65, "cmos");
+}
+
+TEST(FlowSession, RoutedRunResumesByteIdenticalFromEveryStage) {
+  roundtrip_every_checkpoint(layout::Tech::kCnfet65, "routed", true);
+}
+
+TEST(FlowSession, ResumeRefusesCorruptRouting) {
+  // The saved routing is outside input: resume must re-check it rather
+  // than write broken metal into design.gds. Each edit below refreshes
+  // the checksum, as a hand edit or a writer bug would.
+  gen::GenOptions gopt;
+  gopt.width = 8;
+  api::FlowOptions options;
+  options.route = true;
+  auto flow = api::Flow::from_gen(gopt, options);
+  ASSERT_TRUE(flow.ok()) << flow.error().message;
+  ASSERT_TRUE(flow.value().run().ok());
+  const auto session = flow.value().session_json();
+  ASSERT_TRUE(session.ok());
+  const auto resume_edited =
+      [&](const std::string& label,
+          const std::function<void(route::RoutingResult&)>& edit) {
+        json::Value payload = session.value();
+        json::Value routed = payload.take("routed");
+        auto routing = api::routing_result_from_json(routed.at("routing"));
+        edit(routing);
+        routed.set("routing", api::to_json(routing));
+        payload.set("routed", std::move(routed));
+        const auto dir = temp_dir("corrupt_" + label);
+        EXPECT_TRUE(api::write_artifact(payload, "flow", dir + "/flow.json")
+                        .ok());
+        return api::Flow::resume(dir);
+      };
+  // The untouched routing resumes.
+  ASSERT_TRUE(resume_edited("none", [](route::RoutingResult&) {}).ok());
+
+  // The first routed net that has the shapes an edit needs.
+  const auto net_with = [](route::RoutingResult& routing, bool vias) {
+    for (auto& rn : routing.nets) {
+      if (vias ? !rn.vias.empty() : !rn.wires.empty()) return &rn;
+    }
+    ADD_FAILURE() << "no routed net with " << (vias ? "vias" : "wires");
+    return &routing.nets.front();
+  };
+  const auto refused = [&](const std::string& label,
+                           const std::function<void(route::RoutingResult&)>&
+                               edit) {
+    const auto resumed = resume_edited(label, edit);
+    EXPECT_FALSE(resumed.ok()) << label;
+    return resumed.ok() ? std::string() : resumed.error().message;
+  };
+
+  // (a) One wire moved off its path: its net is open.
+  const std::string moved =
+      refused("moved_wire", [&](route::RoutingResult& routing) {
+        auto& wire = net_with(routing, false)->wires.front();
+        wire.a.y += 40000;
+        wire.b.y += 40000;
+      });
+  EXPECT_NE(moved.find("route::verify"), std::string::npos) << moved;
+  EXPECT_NE(moved.find("(first: "), std::string::npos) << moved;
+  // (b) A deleted via.
+  const std::string via =
+      refused("deleted_via", [&](route::RoutingResult& routing) {
+        auto& vias = net_with(routing, true)->vias;
+        vias.erase(vias.begin());
+      });
+  EXPECT_NE(via.find("route::verify"), std::string::npos) << via;
+  // (c) One net's wire copied onto another net.
+  const std::string copied =
+      refused("copied_wire", [&](route::RoutingResult& routing) {
+        auto* from = net_with(routing, false);
+        auto* onto = from == &routing.nets.front() ? &routing.nets.back()
+                                                   : &routing.nets.front();
+        onto->wires.push_back(from->wires.front());
+      });
+  EXPECT_NE(copied.find("shorted"), std::string::npos) << copied;
+  // And a routing that records a failed net.
+  const std::string failed =
+      refused("failed_net", [](route::RoutingResult& routing) {
+        routing.failed_nets = 1;
+      });
+  EXPECT_NE(failed.find("failed net"), std::string::npos) << failed;
+  // And one that names a net the netlist does not have.
+  refused("foreign_net", [](route::RoutingResult& routing) {
+    routing.nets.back().net = 1 << 30;
+  });
 }
 
 TEST(FlowSession, OptimizedAdoptedNetlistResumesMidPipeline) {

@@ -404,6 +404,27 @@ TEST_F(ServeTest, GenRequestMatchesTheLocalGeneratorFlow) {
   EXPECT_FALSE(refused.value().get_bool("ok"));
 }
 
+TEST_F(ServeTest, GenRequestsAboveTheGeneratorBoundAreStructuredErrors) {
+  const int port = start();
+  auto c = client(port);
+  gen::GenOptions rand;
+  rand.family = gen::Family::kRandomDag;
+  rand.target_gates = 2'000'000'000;
+  gen::GenOptions mul;
+  mul.family = gen::Family::kArrayMultiplier;
+  mul.width = 100'000;
+  for (const auto& gopt : {rand, mul}) {
+    json::Value request = serve::make_request(serve::RequestKind::kGen);
+    request.set("gen", api::to_json(gopt));
+    auto response = c.call(std::move(request));
+    ASSERT_TRUE(response.ok()) << gen::to_string(gopt.family);
+    EXPECT_FALSE(response.value().get_bool("ok"));
+    const std::string text =
+        serve::response_diagnostics(response.value()).to_string();
+    EXPECT_NE(text.find("generator bound"), std::string::npos) << text;
+  }
+}
+
 TEST_F(ServeTest, MonteCarloTrialsOutOfRangeAreStructuredErrors) {
   const int port = start();
   auto c = client(port);
