@@ -264,7 +264,6 @@ util::Result<Stage> Flow::optimize() {
           oopt.sta = options_.sta;
           oopt.target_delay = options_.target_delay;
           oopt.max_area_growth = options_.max_area_growth;
-          oopt.num_threads = options_.opt_threads;
           artifact.enabled = true;
           // The passes run on a copy that is committed only on success: a
           // throwing pass (e.g. the function-equivalence guard) must leave

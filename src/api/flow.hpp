@@ -84,9 +84,6 @@ struct FlowOptions {
   /// Area-growth bound for the opt:: passes, as a fraction of the mapped
   /// netlist's cell area.
   double max_area_growth = 0.25;
-  /// Worker threads for the opt:: sizing sweep (0 = hardware threads);
-  /// results are bit-identical at any value.
-  int opt_threads = 1;
   sta::StaOptions sta;
   flow::PlaceOptions place;
   drc::DrcOptions drc;

@@ -15,7 +15,16 @@
 // re-characterization; Flow::resume and the cnfetc CLI surface the error.
 //
 // The to_json/from_json pairs below are the value-level converters the
-// envelope wraps. They follow the library's internal throwing contract
+// envelope wraps. Both directions of a type run one field list in
+// serialize.cpp, `fields(io, x)`, which names each member once in file
+// order: a writer io sets the members into a JSON object and a reader io
+// decodes them back, so a field cannot be written without being read.
+// Only the formats and checks the list cannot express are hand-written:
+// the NLDM grid and cell-layout checks, logic::Expr, the flat wire/via
+// rows, placement gate indices, the gate netlist, the decimal-string seed
+// and the session's stage/artifact invariants.
+//
+// The converters follow the library's internal throwing contract
 // (util::Error on a malformed shape); the file-level save_*/load_*
 // functions and Flow::save/resume convert to util::Result at the api::
 // boundary. Round-trips are exact: doubles survive bit-for-bit (see

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -146,18 +147,20 @@ std::string format_number(double value) {
   // Integral doubles inside the exact-integer range print without a
   // fraction (net ids, counts, grid sizes stay readable); everything else
   // gets 17 significant digits, which strtod maps back to the identical
-  // bit pattern.
+  // bit pattern. std::to_chars in general format with precision 17 is
+  // defined as printf's "%.17g", so the bytes match the C formatter while
+  // skipping its locale and format-string work.
+  char buf[32];
   if (value == std::floor(value) && std::fabs(value) <= 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
     // Preserve the sign of -0.0: "-0" parses back to the negative zero.
     if (value == 0.0 && std::signbit(value)) return "-0";
-    return buf;
+    const auto end = std::to_chars(buf, buf + sizeof(buf),
+                                   static_cast<long long>(value)).ptr;
+    return std::string(buf, end);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17).ptr;
+  return std::string(buf, end);
 }
 
 namespace {

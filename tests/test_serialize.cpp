@@ -195,6 +195,11 @@ TEST(Serialize, DiagnosticsOptionsAndMetricsRoundTrip) {
   EXPECT_EQ(json::dump(api::to_json(
                 api::flow_metrics_from_json(api::to_json(metrics)))),
             json::dump(api::to_json(metrics)));
+  // A count read from an outside report.json must not wrap: a negative
+  // gds_structures is refused rather than read as ~1.8e19.
+  json::Value negative = api::to_json(metrics);
+  negative.set("gds_structures", -1);
+  EXPECT_THROW((void)api::flow_metrics_from_json(negative), util::Error);
 }
 
 TEST(Serialize, GateNetlistRoundTripsAgainstTheLibrary) {
@@ -916,6 +921,48 @@ TEST(FlowSession, ResumeRefusesMissingAndCorruptSessions) {
   const auto mismatched = api::Flow::resume(dir);
   ASSERT_FALSE(mismatched.ok());
   EXPECT_NE(mismatched.error().message.find("artifact"), std::string::npos);
+}
+
+// Pins whole artifact files, envelope and all, so a change to any
+// converter or to the number formatter shows up as a digest change. The
+// digests were recorded before the converters moved to shared field lists.
+TEST(Serialize, ArtifactBytesMatchParentDigests) {
+  const auto dir = temp_dir("digests");
+  const auto file_digest = [](const std::string& path) {
+    return json::fnv1a64_hex(slurp(path));
+  };
+  const auto session_digest = [&](api::Flow flow, const std::string& label) {
+    EXPECT_TRUE(flow.run().ok()) << label;
+    const auto saved = flow.save(dir + "/" + label);
+    EXPECT_TRUE(saved.ok()) << label;
+    return saved.ok() ? file_digest(saved.value()) : std::string();
+  };
+  gen::GenOptions rca16;
+  rca16.family = gen::Family::kRippleCarryAdder;
+  rca16.width = 16;
+  api::FlowOptions routed;
+  routed.route = true;
+  api::FlowOptions optimized;
+  optimized.optimize = true;
+  EXPECT_EQ(session_digest(make_cell_flow(layout::Tech::kCnfet65), "nand3"),
+            "a30b9d4605381351");
+  EXPECT_EQ(
+      session_digest(api::Flow::from_gen(rca16, routed).value(), "rca16_route"),
+      "17287d233ebd0305");
+  EXPECT_EQ(session_digest(api::Flow::from_gen(rca16, optimized).value(),
+                           "rca16_opt"),
+            "d7d55b40e88ab091");
+
+  const auto jobs =
+      api::family_jobs({layout::Tech::kCnfet65, layout::Tech::kCmos65});
+  ASSERT_TRUE(api::save_jobs(jobs, dir + "/jobs.json").ok());
+  EXPECT_EQ(file_digest(dir + "/jobs.json"), "e2a92920d738b425");
+  ASSERT_TRUE(
+      api::save_report(api::run_batch(jobs), dir + "/report.json").ok());
+  EXPECT_EQ(file_digest(dir + "/report.json"), "bd583dfeb4f19cfa");
+
+  ASSERT_TRUE(api::save_library(*cnfet_library(), dir + "/library.json").ok());
+  EXPECT_EQ(file_digest(dir + "/library.json"), "fd9bc548d9615c82");
 }
 
 }  // namespace
